@@ -1,13 +1,10 @@
-"""Registry backend benchmark: mutation throughput at fleet scale.
+"""Registry benchmark: mutation throughput at fleet scale.
 
-Seeds both registry backends with ``2 x REPRO_BENCH_SIZE`` tenants through
-the bulk ``import_state`` path (10 000 tenants at the CI perf-gate size of
-5 000), then times a batch of *real* ``register_tenant`` mutations on each.
-The file backend rewrites and fsyncs the whole ``vault.json`` document per
-mutation — O(tenants) per write — while SQLite's per-row inserts stay O(1),
-so the gap widens with registry size; the issue's acceptance bar is a >= 5x
-SQLite advantage at 10k+ tenants, asserted here whenever the seeded registry
-is that large (smaller runs just record the ratio in ``extra_info``).
+Seeds the SQLite registry with ``2 x REPRO_BENCH_SIZE`` tenants through the
+bulk ``import_state`` path (10 000 tenants at the CI perf-gate size of
+5 000), then times a batch of *real* ``register_tenant`` mutations.  Each
+mutation is one per-row ``BEGIN IMMEDIATE`` transaction, fsynced on commit
+(``PRAGMA synchronous=FULL``), so its cost should not grow with the registry.
 
 Run standalone for a plain-text sweep over several registry sizes::
 
@@ -26,17 +23,12 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
-
-import pytest
 
 from repro.service import KeyVault
 
 TIMING_ROUNDS = 2
 MUTATIONS_PER_ROUND = 50
 SEED_MULTIPLIER = 2  # tenants = 2 x REPRO_BENCH_SIZE -> 10k at the gate size
-RATIO_FLOOR = 5.0
-RATIO_ASSERTED_FROM = 10_000  # tenants; below this the ratio is informational
 
 
 def _tenant_template(base: str) -> dict:
@@ -57,102 +49,47 @@ def _seed_state(template: dict, count: int) -> dict:
     return {"tenants": tenants, "claims": {}}
 
 
-def _timed_batch(vault: KeyVault, counter, label: str) -> float:
+def _timed_batch(vault: KeyVault, counter) -> float:
     """Register ``MUTATIONS_PER_ROUND`` fresh tenants; return the wall time."""
     start = time.perf_counter()
     for _ in range(MUTATIONS_PER_ROUND):
-        vault.register_tenant(f"{label}-{next(counter)}")
+        vault.register_tenant(f"mut-{next(counter)}")
     return time.perf_counter() - start
 
 
-@dataclass
-class RegistryEnv:
-    base: str
-    tenants: int
-    roots: dict  # backend name -> vault root
-
-
-def _build_env(base: str, tenants: int) -> RegistryEnv:
-    template = _tenant_template(base)
-    state = _seed_state(template, tenants)
-    roots = {}
-    for backend in ("file", "sqlite"):
-        root = os.path.join(base, backend)
-        KeyVault.init(root, backend=backend).import_state(state)
-        roots[backend] = root
-    return RegistryEnv(base=base, tenants=tenants, roots=roots)
+def _seeded_vault(base: str, tenants: int) -> KeyVault:
+    root = os.path.join(base, "registry")
+    KeyVault.init(root).import_state(_seed_state(_tenant_template(base), tenants))
+    return KeyVault(root)
 
 
 # --------------------------------------------------------------------- pytest
-#: Best mutation-batch seconds per backend, shared with the ratio test below.
-_BEST: dict[str, float] = {}
-
-
-@pytest.fixture(scope="module")
-def registry_env(tmp_path_factory):
+def test_registry_mutations_sqlite(benchmark, tmp_path):
     from conftest import bench_table_size
 
-    base = str(tmp_path_factory.mktemp("registry-bench"))
-    return _build_env(base, SEED_MULTIPLIER * bench_table_size())
-
-
-def _run_backend(benchmark, env: RegistryEnv, backend: str) -> None:
-    vault = KeyVault(env.roots[backend])
+    tenants = SEED_MULTIPLIER * bench_table_size()
+    vault = _seeded_vault(str(tmp_path), tenants)
     counter = itertools.count()
     durations: list[float] = []
 
     def round_() -> None:
-        durations.append(_timed_batch(vault, counter, f"mut-{backend}"))
+        durations.append(_timed_batch(vault, counter))
 
     benchmark.pedantic(round_, rounds=TIMING_ROUNDS, iterations=1, warmup_rounds=0)
-    _BEST[backend] = best = min(durations)
-    benchmark.extra_info["tenants_seeded"] = env.tenants
+    benchmark.extra_info["tenants_seeded"] = tenants
     benchmark.extra_info["mutations_per_round"] = MUTATIONS_PER_ROUND
-    benchmark.extra_info["mutations_per_second"] = round(MUTATIONS_PER_ROUND / best)
-
-
-def test_registry_mutations_file(benchmark, registry_env):
-    _run_backend(benchmark, registry_env, "file")
-
-
-def test_registry_mutations_sqlite(benchmark, registry_env):
-    _run_backend(benchmark, registry_env, "sqlite")
-
-
-def test_registry_sqlite_vs_file_ratio(benchmark, registry_env):
-    """The acceptance ratio, from the timings the two tests above captured."""
-    assert set(_BEST) == {"file", "sqlite"}, "backend benchmarks must run first"
-    ratio = _BEST["file"] / _BEST["sqlite"]
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["tenants_seeded"] = registry_env.tenants
-    benchmark.extra_info["file_batch_seconds"] = round(_BEST["file"], 6)
-    benchmark.extra_info["sqlite_batch_seconds"] = round(_BEST["sqlite"], 6)
-    benchmark.extra_info["sqlite_speedup"] = round(ratio, 2)
-    if registry_env.tenants >= RATIO_ASSERTED_FROM:
-        assert ratio >= RATIO_FLOOR, (
-            f"sqlite should sustain >= {RATIO_FLOOR}x file-backend mutation "
-            f"throughput at {registry_env.tenants} tenants, got {ratio:.2f}x"
-        )
+    benchmark.extra_info["mutations_per_second"] = round(MUTATIONS_PER_ROUND / min(durations))
 
 
 # ----------------------------------------------------------------- standalone
 def _sweep(sizes: list[int]) -> None:
-    print(f"{'tenants':>9}  {'file ms':>9}  {'sqlite ms':>10}  {'speedup':>8}")
+    print(f"{'tenants':>9}  {'batch ms':>9}  {'ms/mutation':>12}")
     for size in sizes:
         with tempfile.TemporaryDirectory(prefix="bench-registry-") as base:
-            env = _build_env(base, size)
-            best: dict[str, float] = {}
-            for backend in ("file", "sqlite"):
-                vault = KeyVault(env.roots[backend])
-                counter = itertools.count()
-                best[backend] = min(
-                    _timed_batch(vault, counter, f"mut-{backend}")
-                    for _ in range(TIMING_ROUNDS)
-                )
-            print(
-                f"{size:>9}  {best['file'] * 1e3:>9.1f}  {best['sqlite'] * 1e3:>10.1f}"
-                f"  {best['file'] / best['sqlite']:>7.1f}x"
-            )
+            vault = _seeded_vault(base, size)
+            counter = itertools.count()
+            best = min(_timed_batch(vault, counter) for _ in range(TIMING_ROUNDS))
+            print(f"{size:>9}  {best * 1e3:>9.1f}  {best * 1e3 / MUTATIONS_PER_ROUND:>12.3f}")
 
 
 if __name__ == "__main__":

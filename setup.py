@@ -1,12 +1,21 @@
-"""Setuptools shim.
+"""Package metadata for ``repro``, the reproduction's stdlib-only library.
 
-The offline environment ships setuptools without the ``wheel`` package, so
-PEP 517 editable installs fail with ``invalid command 'bdist_wheel'``.  This
-shim lets ``pip install -e . --no-build-isolation --no-use-pep517`` (and plain
-``pip install -e .`` on modern toolchains) fall back to the legacy
-``setup.py develop`` path.  All project metadata lives in ``pyproject.toml``.
+The package lives under ``src/``.  Editable installs::
+
+    pip install -e . --no-build-isolation --no-use-pep517   # needs setuptools + wheel
+    python setup.py develop                                  # setuptools alone
+
+pip refuses ``--no-use-pep517`` when the ``wheel`` package is missing; the
+``setup.py develop`` form installs the same editable package without it.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description="Privacy and ownership preserving of outsourced medical data",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

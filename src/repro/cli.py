@@ -70,7 +70,6 @@ from repro.service.http.prefork import (
 from repro.service.reports import DEFAULT_MAX_LOSS, detect_report, dispute_report, error_payload
 from repro.service.runners import REMOTE_RUNNER_NAME, RUNNER_NAMES, FleetError, RemoteRunner
 from repro.service.audit import AuditChainError
-from repro.service.backends import BACKEND_NAMES
 from repro.service.vault import KeyVault, VaultError, migrate_vault
 from repro.telemetry.log import configure_json_logging
 from repro.telemetry.trace import Tracer, activate as _trace_activate, format_span_tree
@@ -179,7 +178,7 @@ def _runner_for(args: argparse.Namespace):
 
 # ------------------------------------------------------------------- commands
 def _cmd_vault_init(args: argparse.Namespace) -> int:
-    vault = KeyVault.init(args.path, backend=args.backend)
+    vault = KeyVault.init(args.path)
     # Register through the service facade so the very first tenant lands on
     # the audit chain as record 0, like every later registration.
     record = ProtectionService(vault).register_tenant(
@@ -219,21 +218,18 @@ def _cmd_vault_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_vault_migrate(args: argparse.Namespace) -> int:
-    source = KeyVault(args.source)
-    destination = KeyVault.init(args.destination, backend=args.backend)
-    summary = migrate_vault(source, destination)
+    try:
+        summary = migrate_vault(args.source, args.destination)
+    except AuditChainError as error:
+        payload = {"ok": False, "failed_index": error.index, "error": str(error)}
+        reason = f"source audit chain BROKEN at record {error.index}: {error.reason}"
+        _emit(args, payload, [f"refused: {reason}"])
+        return EXIT_VERDICT
     _emit(
         args,
-        {
-            "source": source.root,
-            "destination": destination.root,
-            "from_backend": source.backend,
-            "to_backend": destination.backend,
-            **summary,
-        },
+        {"source": args.source, "destination": args.destination, **summary},
         [
-            f"migrated vault {source.root} ({source.backend}) "
-            f"-> {destination.root} ({destination.backend})",
+            f"migrated vault {args.source} (vault.json format) -> {args.destination}",
             f"  tenants       : {summary['tenants']}",
             f"  claims        : {summary['claims']}",
             f"  audit records : {summary['audit_records']} (chain verified while copying)",
@@ -630,28 +626,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="repetition",
         help='mark code used to encode/decode the mark (e.g. "repetition", "soft", "interleaved")',
     )
-    vault_init.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        help="registry storage backend: file (zero-dep JSON, default) or sqlite "
-        "(WAL registry.db, per-row mutations); also settable via a path scheme "
-        "like sqlite:DIR or $REPRO_VAULT_BACKEND",
-    )
     add_params(vault_init)
     add_secrets(vault_init, required_without_vault=False)
     add_json(vault_init)
     vault_init.set_defaults(func=_cmd_vault_init)
     vault_migrate = vault_sub.add_parser(
         "migrate",
-        help="copy a vault's registry and audit chain into a fresh vault on another backend",
+        help="convert a vault in the retired vault.json format into a fresh vault, "
+        "verifying and replaying its audit chain",
     )
-    vault_migrate.add_argument("source", help="existing vault directory to copy from")
+    vault_migrate.add_argument("source", help="vault.json-format directory to read (never modified)")
     vault_migrate.add_argument("destination", help="vault directory to create")
-    vault_migrate.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        help="backend of the destination vault (default: file, or the path scheme)",
-    )
     add_json(vault_migrate)
     vault_migrate.set_defaults(func=_cmd_vault_migrate)
     vault_status = vault_sub.add_parser("status", help="list a vault's tenants and datasets")

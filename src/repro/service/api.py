@@ -605,10 +605,9 @@ class ProtectionService:
     def status(self, tenant_id: str | None = None) -> dict:
         """JSON-able snapshot of the vault: tenants, datasets, claimants.
 
-        Picks up writes from other processes first (stat-gated reload), so a
-        long-running server reports datasets a CLI protect just registered.
+        Reads are live, so a long-running server reports datasets a CLI
+        protect just registered.
         """
-        self._vault.reload_if_changed()
         tenants = [tenant_id] if tenant_id is not None else self._vault.tenants()
         out: dict = {
             "vault": self._vault.root,

@@ -35,29 +35,26 @@ module, so an auditor needs nothing but the chain file and the stdlib.
 Storage
 -------
 
-The file backend appends JSONL to ``audit.log`` under the vault's advisory
-lock (O_APPEND + fsync per record); the SQLite backend inserts rows into the
-``audit`` table of ``registry.db`` inside a ``BEGIN IMMEDIATE`` transaction.
-Both serialise the read-last/append step, so concurrent writers extend the
-chain instead of forking it.
+Records are rows of the ``audit`` table in the vault's ``registry.db``,
+appended inside a ``BEGIN IMMEDIATE`` transaction, so concurrent writers
+extend the chain instead of forking it.  ``tools/check_audit.py --export``
+writes the chain as JSONL, one canonical record per line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from typing import Iterator
 
-from repro.service.locking import FileLock, lock_path_for
+from repro.service.backends import _Transaction
 
 __all__ = [
     "GENESIS_DIGEST",
     "AUDIT_EVENTS",
     "AuditChainError",
     "AuditRecord",
-    "FileAuditLog",
     "SQLiteAuditLog",
     "record_digest",
     "verify_records",
@@ -166,136 +163,7 @@ def verify_records(records) -> int:
     return index
 
 
-class _AuditLogBase:
-    """Shared verification surface over the storage-specific logs."""
-
-    def verify(self) -> int:
-        """Chain length when intact; :class:`AuditChainError` when not."""
-        return verify_records(self.entries())
-
-    def entries(self) -> Iterator[AuditRecord]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
-
-
-class FileAuditLog(_AuditLogBase):
-    """JSONL chain in ``audit.log``, appended under the vault's file lock.
-
-    The writer keeps a cached tail (byte offset + last digest) and catches up
-    by reading only the bytes other processes appended since — appends stay
-    O(new records), not O(chain length).
-    """
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        self._path = os.fspath(path)
-        self._lock_path = lock_path_for(self._path)
-        self._offset = 0
-        self._next_index = 0
-        self._last_digest = GENESIS_DIGEST
-
-    @property
-    def path(self) -> str:
-        return self._path
-
-    @property
-    def exists(self) -> bool:
-        return os.path.exists(self._path)
-
-    def append(
-        self,
-        event: str,
-        tenant: str | None,
-        *,
-        dataset: str | None = None,
-        payload: dict | None = None,
-    ) -> AuditRecord:
-        """Seal one record onto the chain and fsync it to disk."""
-        with FileLock(self._lock_path):
-            self._catch_up()
-            record = build_record(
-                self._next_index,
-                self._last_digest,
-                event,
-                tenant,
-                dataset,
-                payload or {},
-            )
-            line = (_canonical(record) + "\n").encode("utf-8")
-            fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
-            try:
-                os.write(fd, line)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            self._offset += len(line)
-            self._next_index += 1
-            self._last_digest = record["digest"]
-        return AuditRecord(record)
-
-    def append_raw(self, record: dict) -> None:
-        """Append an already-sealed record (migration), verifying linkage."""
-        with FileLock(self._lock_path):
-            self._catch_up()
-            _check_record(record, self._next_index, self._last_digest)
-            line = (_canonical(record) + "\n").encode("utf-8")
-            fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o600)
-            try:
-                os.write(fd, line)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            self._offset += len(line)
-            self._next_index += 1
-            self._last_digest = record["digest"]
-
-    def _catch_up(self) -> None:
-        """Advance the cached tail over records other processes appended.
-
-        Called under the lock.  A shrunken file (external truncation) forces
-        a rescan from byte 0; the records read are fully verified (linkage
-        and digests), because appending on top of a broken chain would
-        launder the damage — refuse loudly instead.
-        """
-        try:
-            size = os.path.getsize(self._path)
-        except OSError:
-            self._offset, self._next_index, self._last_digest = 0, 0, GENESIS_DIGEST
-            return
-        if size < self._offset:
-            self._offset, self._next_index, self._last_digest = 0, 0, GENESIS_DIGEST
-        if size == self._offset:
-            return
-        with open(self._path, "rb") as handle:
-            handle.seek(self._offset)
-            tail = handle.read(size - self._offset)
-        for raw in tail.splitlines():
-            try:
-                doc = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as error:
-                raise AuditChainError(
-                    self._next_index, f"malformed record on disk: {error}"
-                ) from error
-            _check_record(doc, self._next_index, self._last_digest)
-            self._next_index += 1
-            self._last_digest = doc["digest"]
-        self._offset = size
-
-    def entries(self) -> Iterator[AuditRecord]:
-        """Every record in chain order (malformed lines raise with their index)."""
-        if not os.path.exists(self._path):
-            return
-        with open(self._path, "rb") as handle:
-            for index, raw in enumerate(handle):
-                try:
-                    doc = json.loads(raw.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError) as error:
-                    raise AuditChainError(index, f"malformed record: {error}") from error
-                yield AuditRecord(doc)
-
-
-class SQLiteAuditLog(_AuditLogBase):
+class SQLiteAuditLog:
     """Chain rows in the ``audit`` table of a :class:`SQLiteRegistryBackend`.
 
     The read-last/insert step runs inside ``BEGIN IMMEDIATE``, so concurrent
@@ -306,14 +174,6 @@ class SQLiteAuditLog(_AuditLogBase):
     def __init__(self, backend) -> None:
         self._backend = backend
 
-    @property
-    def path(self) -> str:
-        return self._backend.path
-
-    @property
-    def exists(self) -> bool:
-        return self._backend.exists
-
     def append(
         self,
         event: str,
@@ -322,57 +182,20 @@ class SQLiteAuditLog(_AuditLogBase):
         dataset: str | None = None,
         payload: dict | None = None,
     ) -> AuditRecord:
-        from repro.service.backends import _Transaction
-
+        """Seal one record onto the chain."""
         conn = self._backend.connection()
         with _Transaction(conn):
-            row = conn.execute(
-                "SELECT idx, digest FROM audit ORDER BY idx DESC LIMIT 1"
-            ).fetchone()
-            index = row[0] + 1 if row is not None else 0
-            prev = row[1] if row is not None else GENESIS_DIGEST
+            index, prev = _tail(conn)
             record = build_record(index, prev, event, tenant, dataset, payload or {})
-            conn.execute(
-                "INSERT INTO audit (idx, prev, ts, event, tenant, dataset, payload, digest) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    record["index"],
-                    record["prev"],
-                    record["ts"],
-                    record["event"],
-                    record["tenant"],
-                    record["dataset"],
-                    _canonical(record["payload"]),
-                    record["digest"],
-                ),
-            )
+            _insert(conn, record)
         return AuditRecord(record)
 
     def append_raw(self, record: dict) -> None:
-        from repro.service.backends import _Transaction
-
+        """Append an already-sealed record (migration), verifying linkage."""
         conn = self._backend.connection()
         with _Transaction(conn):
-            row = conn.execute(
-                "SELECT idx, digest FROM audit ORDER BY idx DESC LIMIT 1"
-            ).fetchone()
-            index = row[0] + 1 if row is not None else 0
-            prev = row[1] if row is not None else GENESIS_DIGEST
-            _check_record(record, index, prev)
-            conn.execute(
-                "INSERT INTO audit (idx, prev, ts, event, tenant, dataset, payload, digest) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    record["index"],
-                    record["prev"],
-                    record["ts"],
-                    record["event"],
-                    record["tenant"],
-                    record["dataset"],
-                    _canonical(record["payload"]),
-                    record["digest"],
-                ),
-            )
+            _check_record(record, *_tail(conn))
+            _insert(conn, record)
 
     def entries(self) -> Iterator[AuditRecord]:
         rows = self._backend.connection().execute(
@@ -398,6 +221,32 @@ class SQLiteAuditLog(_AuditLogBase):
                 }
             )
 
+    def verify(self) -> int:
+        """Chain length when intact; :class:`AuditChainError` when not."""
+        return verify_records(self.entries())
 
-#: Either storage flavour — the facades only use the shared surface.
-AuditLog = FileAuditLog | SQLiteAuditLog
+    def __len__(self) -> int:
+        return sum(1 for _ in self.entries())
+
+
+def _tail(conn) -> tuple[int, str]:
+    """``(index, prev)`` the next record must carry."""
+    row = conn.execute("SELECT idx, digest FROM audit ORDER BY idx DESC LIMIT 1").fetchone()
+    return (row[0] + 1, row[1]) if row is not None else (0, GENESIS_DIGEST)
+
+
+def _insert(conn, record: dict) -> None:
+    conn.execute(
+        "INSERT INTO audit (idx, prev, ts, event, tenant, dataset, payload, digest) "
+        "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            record["index"],
+            record["prev"],
+            record["ts"],
+            record["event"],
+            record["tenant"],
+            record["dataset"],
+            _canonical(record["payload"]),
+            record["digest"],
+        ),
+    )

@@ -1,43 +1,23 @@
-"""Pluggable persistence backends for the protection registry.
+"""The SQLite registry behind the vault, the claim store and the audit log.
 
 The registry is everything the owner must retain to litigate: tenants (their
 secrets and embedding parameters), dataset registrations (``v`` and ``F(v)``),
-bearer-token digests, and ownership claims.  :class:`~repro.service.vault.KeyVault`
-and :class:`~repro.service.store.ClaimStore` are facades over one *backend*
-object implementing the persistence contract this module defines:
+bearer-token digests, ownership claims and the audit chain.  All of it lives
+as rows in one ``registry.db`` (WAL mode) in the vault directory;
+:class:`~repro.service.vault.KeyVault`,
+:class:`~repro.service.store.ClaimStore` and
+:class:`~repro.service.audit.SQLiteAuditLog` are facades over one
+:class:`SQLiteRegistryBackend`.  Mutations are per-row statements, so write
+cost does not grow with the registry, and reads are live: every lookup sees
+the latest committed state, whichever process or thread wrote it.
 
-``file`` (default, zero-dep)
-    The original JSON documents — ``vault.json`` + ``claims.json`` in the
-    vault directory, every mutation an advisory-locked read-modify-write that
-    rewrites the whole document atomically (tmp file + ``os.replace`` +
-    fsync).  Simple and durable, but each write is O(registry size): at 10k+
-    tenants a single registration costs a multi-megabyte serialise.
+Durability
+----------
 
-``sqlite``
-    One ``registry.db`` (WAL mode) holding tenants, dataset registrations,
-    tokens, claims and the audit chain as rows.  Mutations are per-row SQL
-    statements, so write cost no longer grows with the registry; readers see
-    committed state live (WAL readers never block on writers), which makes
-    the pre-fork workers' reload-on-miss contract trivial.
-
-Backend selection (:func:`resolve_backend`) is uniform everywhere a vault
-path is accepted: an explicit ``--backend`` flag or a path scheme
-(``sqlite:/path/to/vault``) wins, an existing vault is recognised by its
-on-disk artifact, the ``REPRO_VAULT_BACKEND`` environment variable decides
-fresh creations, and ``file`` remains the default.
-
-Reload signal
--------------
-
-Long-lived handles (a serving worker) must see mutations from *other*
-processes without reparsing on every request.  Each backend provides its own
-change signal — the file backend stats the document (inode/size/mtime; an
-``os.replace`` always changes the inode), the SQLite backend reads ``PRAGMA
-data_version`` (bumped whenever another connection commits) — behind one
-``refresh()`` contract: it returns whether state observed through this
-handle may have changed, reloading any cached state when it has.  The
-facades retry lookups once after a positive ``refresh()``, which is the
-whole reload-on-miss protocol.
+Every connection runs ``PRAGMA synchronous=FULL``: each commit fsyncs the
+WAL before it returns, so a power loss cannot drop a tenant secret or an
+audit record that a caller was told had been stored.  The database file is
+created with mode ``0600`` (the ``-wal``/``-shm`` sidecars inherit it).
 
 Connections and forking
 -----------------------
@@ -48,6 +28,9 @@ so a pre-fork worker or a handler-pool thread always operates on its own
 connection.  Writes run under ``BEGIN IMMEDIATE`` with a busy timeout, so
 concurrent writers (N processes protecting against one vault) serialise
 instead of failing.
+
+Vaults written by the retired JSON-document format are read by
+:mod:`repro.service.legacy` and converted with ``repro vault migrate``.
 """
 
 from __future__ import annotations
@@ -56,40 +39,14 @@ import json
 import os
 import sqlite3
 import threading
-from typing import Iterable, Iterator
-
-from repro.service.locking import FileLock, lock_path_for
-from repro.telemetry.trace import span as _stage_span
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
-    "AUDIT_FILENAME",
-    "CLAIMS_FILENAME",
     "REGISTRY_FILENAME",
-    "VAULT_FILENAME",
     "VaultError",
-    "FileRegistryBackend",
     "SQLiteRegistryBackend",
-    "make_backend",
-    "detect_backend",
-    "resolve_backend",
-    "split_backend_scheme",
 ]
 
-#: Environment variable deciding the backend of *newly created* vaults (and
-#: the CI matrix knob): ``file`` or ``sqlite``.  Opening an existing vault
-#: always honours what is on disk first.
-BACKEND_ENV = "REPRO_VAULT_BACKEND"
-BACKEND_NAMES = ("file", "sqlite")
-
-VAULT_FILENAME = "vault.json"
-CLAIMS_FILENAME = "claims.json"
-AUDIT_FILENAME = "audit.log"
 REGISTRY_FILENAME = "registry.db"
-
-VAULT_VERSION = 1
-CLAIMS_VERSION = 1
 REGISTRY_VERSION = 1
 
 #: Seconds a SQLite writer waits on a locked database before giving up.
@@ -100,390 +57,6 @@ class VaultError(RuntimeError):
     """Raised for registry lookups/initialisation that cannot be satisfied."""
 
 
-# ---------------------------------------------------------------------- naming
-def split_backend_scheme(path: str | os.PathLike) -> tuple[str | None, str]:
-    """Split a ``backend:`` scheme off a vault path (``sqlite:V`` -> ``("sqlite", "V")``).
-
-    Windows drive letters are never backend names, so plain paths pass
-    through untouched.
-    """
-    text = os.fspath(path)
-    for name in BACKEND_NAMES:
-        prefix = name + ":"
-        if text.startswith(prefix):
-            return name, text[len(prefix) :]
-    return None, text
-
-
-def _validated_name(name: str, source: str) -> str:
-    if name not in BACKEND_NAMES:
-        raise VaultError(
-            f"unknown vault backend {name!r} from {source} "
-            f"(expected one of: {', '.join(BACKEND_NAMES)})"
-        )
-    return name
-
-
-def backend_from_env() -> str | None:
-    """The ``REPRO_VAULT_BACKEND`` choice, validated; ``None`` when unset."""
-    raw = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if not raw:
-        return None
-    return _validated_name(raw, BACKEND_ENV)
-
-
-def detect_backend(root: str | os.PathLike) -> str | None:
-    """The backend an existing vault directory was created with, else ``None``.
-
-    ``registry.db`` wins over a stray ``vault.json`` — a migrated vault may
-    keep its old documents around as a backup.
-    """
-    root = os.fspath(root)
-    if os.path.exists(os.path.join(root, REGISTRY_FILENAME)):
-        return "sqlite"
-    if os.path.exists(os.path.join(root, VAULT_FILENAME)):
-        return "file"
-    return None
-
-
-def resolve_backend(
-    root: str | os.PathLike, explicit: str | None = None, *, for_init: bool = False
-) -> tuple[str, str]:
-    """Resolve ``(backend name, bare root)`` for a vault path.
-
-    Priority: path scheme / explicit argument (conflicts are an error), then
-    — when opening — whatever artifact is on disk, then ``REPRO_VAULT_BACKEND``,
-    then ``file``.
-    """
-    scheme, bare = split_backend_scheme(root)
-    if explicit is not None:
-        explicit = _validated_name(explicit, "the backend argument")
-    if scheme is not None and explicit is not None and scheme != explicit:
-        raise VaultError(
-            f"vault path scheme {scheme!r} conflicts with backend {explicit!r}"
-        )
-    chosen = scheme or explicit
-    if chosen is None and not for_init:
-        chosen = detect_backend(bare)
-    if chosen is None:
-        chosen = backend_from_env() or "file"
-    return chosen, bare
-
-
-def make_backend(name: str, root: str | os.PathLike):
-    """Instantiate the backend *name* over the vault directory *root*."""
-    name = _validated_name(name, "the backend argument")
-    if name == "sqlite":
-        return SQLiteRegistryBackend(root)
-    return FileRegistryBackend(root)
-
-
-def _atomic_write_json(path: str, document: dict) -> None:
-    """Write *document* to *path* atomically (tmp file + ``os.replace``)."""
-    directory = os.path.dirname(path) or "."
-    tmp_path = path + ".tmp"
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    # Make the rename itself durable where the platform allows it.
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - e.g. NT has no directory fds
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-# ----------------------------------------------------------------- file backend
-class _JsonDocument:
-    """One atomically rewritten JSON document with a stat-gated reload.
-
-    The change signal is the file's ``(inode, size, mtime_ns)`` — an
-    ``os.replace`` always changes the inode, so an unchanged signature means
-    an unchanged document and a reload check costs one ``stat``.
-    """
-
-    def __init__(self, path: str, *, version: int, key: str, span: str) -> None:
-        self.path = path
-        self._lock_path = lock_path_for(path)
-        self._version = version
-        self._key = key
-        self._span = span
-        self._signature: tuple[int, int, int] | None = None
-        self._data: dict | None = None  # None = never loaded (lazy)
-
-    @property
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
-    def lock(self) -> FileLock:
-        return FileLock(self._lock_path)
-
-    def data(self) -> dict:
-        """The loaded document body (loading lazily; empty when absent on disk)."""
-        if self._data is None:
-            if self.exists:
-                self.load()
-            else:
-                self._data = {}
-        return self._data
-
-    def create_empty(self, error: str) -> None:
-        with self.lock():
-            if self.exists:
-                raise VaultError(error)
-            _atomic_write_json(self.path, {"version": self._version, self._key: {}})
-        self.load()
-
-    def signature(self) -> tuple[int, int, int] | None:
-        try:
-            stat = os.stat(self.path)
-        except OSError:
-            return None
-        return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
-
-    def load(self) -> None:
-        with _stage_span(self._span + ".load"):
-            signature = self.signature()
-            with open(self.path, encoding="utf-8") as handle:
-                document = json.load(handle)
-            version = document.get("version")
-            if version != self._version:
-                raise VaultError(
-                    f"unsupported {self._key} document version {version!r} "
-                    f"(expected {self._version})"
-                )
-            self._data = document[self._key]
-            self._signature = signature
-
-    def load_for_write(self) -> dict:
-        """Re-read under the caller's lock so the mutation sees peers' writes."""
-        if self.exists:
-            self.load()
-        return self.data()
-
-    def save(self) -> None:
-        with _stage_span(self._span + ".save"):
-            _atomic_write_json(self.path, {"version": self._version, self._key: self.data()})
-            self._signature = self.signature()
-
-    def refresh(self) -> bool:
-        """Reload only when the on-disk signature moved; report whether it did.
-
-        A vanished or corrupt file reads as "unchanged": the in-memory state
-        is the best remaining truth (torn deploys must not take readers down).
-        """
-        signature = self.signature()
-        if signature is None or signature == self._signature:
-            return False
-        try:
-            self.load()
-        except (OSError, ValueError, VaultError):  # pragma: no cover - torn deploy
-            return False
-        return True
-
-
-class FileRegistryBackend:
-    """The zero-dependency JSON-document backend (the original vault format).
-
-    Tenants/tokens/datasets live in ``vault.json``, claims in ``claims.json``
-    (separately lockable, so claim traffic never contends with key material),
-    the audit chain in ``audit.log`` (JSONL, see :mod:`repro.service.audit`).
-    Every mutation is a locked read-modify-write of the whole document.
-    """
-
-    name = "file"
-
-    def __init__(self, root: str | os.PathLike, *, claims_path: str | None = None) -> None:
-        self._root = os.fspath(root)
-        self._vault = _JsonDocument(
-            os.path.join(self._root, VAULT_FILENAME),
-            version=VAULT_VERSION,
-            key="tenants",
-            span="vault",
-        )
-        self._claims = _JsonDocument(
-            claims_path if claims_path is not None else os.path.join(self._root, CLAIMS_FILENAME),
-            version=CLAIMS_VERSION,
-            key="claims",
-            span="claims",
-        )
-
-    # ---------------------------------------------------------------- lifecycle
-    @property
-    def root(self) -> str:
-        return self._root
-
-    @property
-    def path(self) -> str:
-        """The backing artifact an operator would back up (or point tools at)."""
-        return self._vault.path
-
-    @property
-    def artifact(self) -> str:
-        return VAULT_FILENAME
-
-    @property
-    def exists(self) -> bool:
-        return self._vault.exists
-
-    def create(self) -> None:
-        os.makedirs(self._root, exist_ok=True)
-        self._vault.create_empty(f"vault already initialised at {self._root!r}")
-
-    # ------------------------------------------------------------------ tenants
-    def put_tenant(self, tenant_id: str, record: dict) -> bool:
-        with self._vault.lock():
-            tenants = self._vault.load_for_write()
-            if tenant_id in tenants:
-                return False
-            tenants[tenant_id] = {"record": record, "datasets": {}}
-            self._vault.save()
-        return True
-
-    def get_tenant(self, tenant_id: str) -> dict | None:
-        entry = self._vault.data().get(tenant_id)
-        return entry["record"] if entry is not None else None
-
-    def list_tenants(self) -> list[str]:
-        return sorted(self._vault.data())
-
-    # ------------------------------------------------------------------- tokens
-    def set_token(self, tenant_id: str, digest: str) -> bool:
-        with self._vault.lock():
-            tenants = self._vault.load_for_write()
-            if tenant_id not in tenants:
-                return False
-            tenants[tenant_id]["token_sha256"] = digest
-            self._vault.save()
-        return True
-
-    def get_token(self, tenant_id: str) -> str | None:
-        entry = self._vault.data().get(tenant_id)
-        return entry.get("token_sha256") if entry is not None else None
-
-    # ----------------------------------------------------------------- datasets
-    def put_dataset(self, tenant_id: str, dataset_id: str, record: dict) -> bool:
-        with self._vault.lock():
-            tenants = self._vault.load_for_write()
-            if tenant_id not in tenants:
-                return False
-            tenants[tenant_id]["datasets"][dataset_id] = record
-            self._vault.save()
-        return True
-
-    def get_dataset(self, tenant_id: str, dataset_id: str) -> dict | None:
-        entry = self._vault.data().get(tenant_id)
-        if entry is None:
-            return None
-        return entry.get("datasets", {}).get(dataset_id)
-
-    def list_datasets(self, tenant_id: str) -> list[str]:
-        entry = self._vault.data().get(tenant_id)
-        return sorted(entry.get("datasets", {})) if entry is not None else []
-
-    # ---------------------------------------------------------------- freshness
-    def change_signal(self) -> tuple:
-        """The backend-provided reload signal (file: the document's stat triple)."""
-        return ("file", self._vault.signature())
-
-    def refresh(self) -> bool:
-        return self._vault.refresh()
-
-    def reload(self) -> None:
-        self._vault.load()
-
-    def refresh_claims(self) -> bool:
-        return self._claims.refresh()
-
-    def reload_claims(self) -> None:
-        self._claims.load()
-
-    # ------------------------------------------------------------------- claims
-    @property
-    def claims_path(self) -> str:
-        return self._claims.path
-
-    def append_claim(self, dataset_id: str, claimant: str, record: dict) -> None:
-        with self._claims.lock():
-            claims = self._claims.load_for_write()
-            entries = claims.get(dataset_id, [])
-            # Rebind rather than mutate in place: a concurrent reader (a
-            # dispute on another server thread) iterating the old list keeps
-            # a consistent snapshot instead of observing the removed-but-not-
-            # yet-re-added window.
-            claims[dataset_id] = [
-                entry for entry in entries if entry["claimant"] != claimant
-            ] + [record]
-            self._claims.save()
-
-    def remove_claim(self, dataset_id: str, claimant: str) -> bool:
-        with self._claims.lock():
-            claims = self._claims.load_for_write()
-            entries = claims.get(dataset_id, [])
-            kept = [entry for entry in entries if entry["claimant"] != claimant]
-            removed = len(kept) != len(entries)
-            if removed:
-                if kept:
-                    claims[dataset_id] = kept
-                else:
-                    del claims[dataset_id]
-                self._claims.save()
-        return removed
-
-    def list_claims(self, dataset_id: str) -> list[dict]:
-        return list(self._claims.data().get(dataset_id, []))
-
-    def claim_datasets(self) -> list[str]:
-        return sorted(self._claims.data())
-
-    # -------------------------------------------------------------------- audit
-    def audit_log(self):
-        from repro.service.audit import FileAuditLog
-
-        return FileAuditLog(os.path.join(self._root, AUDIT_FILENAME))
-
-    # --------------------------------------------------------- bulk state (ops)
-    def export_state(self) -> dict:
-        """The whole registry as one JSON-able document (migration/backup)."""
-        self._vault.refresh()
-        self._claims.refresh()
-        return json.loads(
-            json.dumps({"tenants": self._vault.data(), "claims": self._claims.data()})
-        )
-
-    def import_state(self, state: dict) -> None:
-        """Replace this registry's contents with *state* (one save per document).
-
-        Bulk import is the migration/seeding path: it bypasses the per-row
-        mutation protocol (and the audit chain) by design.
-        """
-        with self._vault.lock():
-            tenants = self._vault.load_for_write()
-            tenants.clear()
-            tenants.update(state.get("tenants", {}))
-            self._vault.save()
-        with self._claims.lock():
-            claims = self._claims.load_for_write()
-            claims.clear()
-            claims.update(state.get("claims", {}))
-            self._claims.save()
-
-
-# --------------------------------------------------------------- sqlite backend
 _SCHEMA = (
     """CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -524,8 +97,8 @@ class _Transaction:
 
     IMMEDIATE takes the write lock up front, so a read-then-write mutation
     (register-if-absent, append-to-chain) can never interleave with another
-    writer's — the cross-process equivalent of the file backend's
-    :class:`FileLock`.  The connection's busy timeout arbitrates contention.
+    writer's, in this process or any other.  The connection's busy timeout
+    arbitrates contention.
     """
 
     def __init__(self, conn: sqlite3.Connection) -> None:
@@ -543,14 +116,7 @@ class _Transaction:
 
 
 class SQLiteRegistryBackend:
-    """Per-row registry persistence in one WAL-mode SQLite database.
-
-    Reads are live: every lookup sees the latest committed state, whichever
-    process or thread wrote it, so the reload-on-miss retries the facades
-    perform for the file backend become no-ops here.  ``refresh()`` still
-    reports change honestly via ``PRAGMA data_version`` (bumped whenever a
-    *different* connection commits) to keep the contract uniform.
-    """
+    """Per-row registry persistence in one WAL-mode SQLite database."""
 
     name = "sqlite"
 
@@ -558,7 +124,6 @@ class SQLiteRegistryBackend:
         self._root = os.fspath(root)
         self._path = os.path.join(self._root, REGISTRY_FILENAME)
         self._local = threading.local()
-        self._creating = False
 
     # ---------------------------------------------------------------- lifecycle
     @property
@@ -570,10 +135,6 @@ class SQLiteRegistryBackend:
         return self._path
 
     @property
-    def artifact(self) -> str:
-        return REGISTRY_FILENAME
-
-    @property
     def exists(self) -> bool:
         return os.path.exists(self._path)
 
@@ -582,13 +143,12 @@ class SQLiteRegistryBackend:
         if self.exists:
             raise VaultError(f"vault already initialised at {self._root!r}")
         # Touch the file with 0600 *before* SQLite writes pages into it: the
-        # registry holds tenant secrets, exactly like vault.json (the -wal
-        # and -shm sidecars inherit the database file's permissions).
+        # registry holds tenant secrets (the -wal and -shm sidecars inherit
+        # the database file's permissions).
         fd = os.open(self._path, os.O_CREAT | os.O_WRONLY, 0o600)
         os.close(fd)
-        self._creating = True
+        conn = self._connect(validate=False)
         try:
-            conn = self._connection()
             with _Transaction(conn):
                 for statement in _SCHEMA:
                     conn.execute(statement)
@@ -597,31 +157,29 @@ class SQLiteRegistryBackend:
                     (str(REGISTRY_VERSION),),
                 )
         finally:
-            self._creating = False
+            conn.close()
 
     # -------------------------------------------------------------- connections
     def connection(self) -> sqlite3.Connection:
         """This (process, thread)'s connection — never shared, fork-safe."""
-        return self._connection()
-
-    def _connection(self) -> sqlite3.Connection:
         state = self._local
         if getattr(state, "conn", None) is None or state.pid != os.getpid():
             # A connection inherited over fork() must never be reused; a new
             # pid means this is the first touch in a pre-fork worker.
             state.conn = self._connect()
             state.pid = os.getpid()
-            state.data_version = self._read_data_version(state.conn)
         return state.conn
 
-    def _connect(self) -> sqlite3.Connection:
+    def _connect(self, *, validate: bool = True) -> sqlite3.Connection:
         try:
             conn = sqlite3.connect(self._path, timeout=SQLITE_BUSY_TIMEOUT)
             conn.isolation_level = None  # autocommit; _Transaction manages writes
             conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
+            # fsync the WAL on every commit: an acknowledged secret or audit
+            # record must survive a power loss, not only a process crash.
+            conn.execute("PRAGMA synchronous=FULL")
             conn.execute("PRAGMA foreign_keys=ON")
-            if not self._creating:
+            if validate:
                 self._validate(conn)
         except sqlite3.DatabaseError as error:
             raise VaultError(
@@ -642,13 +200,9 @@ class SQLiteRegistryBackend:
                 f"unsupported registry version {version!r} (expected {REGISTRY_VERSION})"
             )
 
-    @staticmethod
-    def _read_data_version(conn: sqlite3.Connection) -> int:
-        return int(conn.execute("PRAGMA data_version").fetchone()[0])
-
     # ------------------------------------------------------------------ tenants
     def put_tenant(self, tenant_id: str, record: dict) -> bool:
-        conn = self._connection()
+        conn = self.connection()
         with _Transaction(conn):
             cursor = conn.execute(
                 "INSERT OR IGNORE INTO tenants (tenant_id, record) VALUES (?, ?)",
@@ -657,20 +211,20 @@ class SQLiteRegistryBackend:
             return cursor.rowcount == 1
 
     def get_tenant(self, tenant_id: str) -> dict | None:
-        row = self._connection().execute(
+        row = self.connection().execute(
             "SELECT record FROM tenants WHERE tenant_id = ?", (tenant_id,)
         ).fetchone()
         return json.loads(row[0]) if row is not None else None
 
     def list_tenants(self) -> list[str]:
-        rows = self._connection().execute(
+        rows = self.connection().execute(
             "SELECT tenant_id FROM tenants ORDER BY tenant_id"
         ).fetchall()
         return [row[0] for row in rows]
 
     # ------------------------------------------------------------------- tokens
     def set_token(self, tenant_id: str, digest: str) -> bool:
-        conn = self._connection()
+        conn = self.connection()
         with _Transaction(conn):
             cursor = conn.execute(
                 "UPDATE tenants SET token_sha256 = ? WHERE tenant_id = ?",
@@ -679,14 +233,14 @@ class SQLiteRegistryBackend:
             return cursor.rowcount == 1
 
     def get_token(self, tenant_id: str) -> str | None:
-        row = self._connection().execute(
+        row = self.connection().execute(
             "SELECT token_sha256 FROM tenants WHERE tenant_id = ?", (tenant_id,)
         ).fetchone()
         return row[0] if row is not None else None
 
     # ----------------------------------------------------------------- datasets
     def put_dataset(self, tenant_id: str, dataset_id: str, record: dict) -> bool:
-        conn = self._connection()
+        conn = self.connection()
         with _Transaction(conn):
             known = conn.execute(
                 "SELECT 1 FROM tenants WHERE tenant_id = ?", (tenant_id,)
@@ -701,58 +255,25 @@ class SQLiteRegistryBackend:
             return True
 
     def get_dataset(self, tenant_id: str, dataset_id: str) -> dict | None:
-        row = self._connection().execute(
+        row = self.connection().execute(
             "SELECT record FROM datasets WHERE tenant_id = ? AND dataset_id = ?",
             (tenant_id, dataset_id),
         ).fetchone()
         return json.loads(row[0]) if row is not None else None
 
     def list_datasets(self, tenant_id: str) -> list[str]:
-        rows = self._connection().execute(
+        rows = self.connection().execute(
             "SELECT dataset_id FROM datasets WHERE tenant_id = ? ORDER BY dataset_id",
             (tenant_id,),
         ).fetchall()
         return [row[0] for row in rows]
 
-    # ---------------------------------------------------------------- freshness
-    def change_signal(self) -> tuple:
-        """The backend-provided reload signal (sqlite: ``PRAGMA data_version``)."""
-        return ("sqlite", self._read_data_version(self._connection()))
-
-    def refresh(self) -> bool:
-        """Whether another connection committed since this handle last looked.
-
-        Reads are live regardless — this only keeps the uniform contract's
-        return value honest (and cheap: one PRAGMA, no I/O beyond the first
-        page).
-        """
-        conn = self._connection()
-        state = self._local
-        current = self._read_data_version(conn)
-        changed = current != state.data_version
-        state.data_version = current
-        return changed
-
-    def reload(self) -> None:
-        self.refresh()
-
-    def refresh_claims(self) -> bool:
-        return self.refresh()
-
-    def reload_claims(self) -> None:
-        self.refresh()
-
     # ------------------------------------------------------------------- claims
-    @property
-    def claims_path(self) -> str:
-        return self._path
-
     def append_claim(self, dataset_id: str, claimant: str, record: dict) -> None:
-        conn = self._connection()
+        conn = self.connection()
         with _Transaction(conn):
             # Delete-then-insert (not upsert) so a replaced claim moves to the
-            # end of the list, exactly like the file backend's rebind-append:
-            # claim order is dispute-visible and must match across backends.
+            # end of the list: claim order is dispute-visible.
             conn.execute(
                 "DELETE FROM claims WHERE dataset_id = ? AND claimant = ?",
                 (dataset_id, claimant),
@@ -763,7 +284,7 @@ class SQLiteRegistryBackend:
             )
 
     def remove_claim(self, dataset_id: str, claimant: str) -> bool:
-        conn = self._connection()
+        conn = self.connection()
         with _Transaction(conn):
             cursor = conn.execute(
                 "DELETE FROM claims WHERE dataset_id = ? AND claimant = ?",
@@ -772,27 +293,21 @@ class SQLiteRegistryBackend:
             return cursor.rowcount > 0
 
     def list_claims(self, dataset_id: str) -> list[dict]:
-        rows = self._connection().execute(
+        rows = self.connection().execute(
             "SELECT record FROM claims WHERE dataset_id = ? ORDER BY rowid",
             (dataset_id,),
         ).fetchall()
         return [json.loads(row[0]) for row in rows]
 
     def claim_datasets(self) -> list[str]:
-        rows = self._connection().execute(
+        rows = self.connection().execute(
             "SELECT DISTINCT dataset_id FROM claims ORDER BY dataset_id"
         ).fetchall()
         return [row[0] for row in rows]
 
-    # -------------------------------------------------------------------- audit
-    def audit_log(self):
-        from repro.service.audit import SQLiteAuditLog
-
-        return SQLiteAuditLog(self)
-
     # --------------------------------------------------------- bulk state (ops)
     def export_state(self) -> dict:
-        conn = self._connection()
+        conn = self.connection()
         tenants: dict[str, dict] = {}
         for tenant_id, record, token in conn.execute(
             "SELECT tenant_id, record, token_sha256 FROM tenants ORDER BY tenant_id"
@@ -813,7 +328,7 @@ class SQLiteRegistryBackend:
         return {"tenants": tenants, "claims": claims}
 
     def import_state(self, state: dict) -> None:
-        conn = self._connection()
+        conn = self.connection()
         with _Transaction(conn):
             conn.execute("DELETE FROM claims")
             conn.execute("DELETE FROM datasets")
@@ -845,10 +360,3 @@ class SQLiteRegistryBackend:
 
 def _dump(document: dict) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-
-def iter_backend_pairs(roots: Iterable[str]) -> Iterator[tuple[str, str]]:  # pragma: no cover
-    """(reserved for future multi-vault tooling)"""
-    for root in roots:
-        name, bare = resolve_backend(root)
-        yield name, bare

@@ -48,6 +48,7 @@ import json
 import math
 import os
 import queue
+import re
 import signal
 import socket
 import sys
@@ -102,6 +103,8 @@ _MAX_LINE = 65536
 _MAX_HEADERS = 200
 
 _BLOCK = 65536
+
+_DIGITS = re.compile(r"[0-9]+")
 
 #: Routes exempt from rate limiting even when a bearer token is presented
 #: (liveness and scraping must keep answering while a tenant is throttled).
@@ -319,6 +322,23 @@ class _ConnState:
 
     def __init__(self) -> None:
         self.phase = "receiving"
+
+
+def _check_framing(headers: Mapping[str, str]) -> None:
+    """Refuse bodies whose length a peer or proxy could read differently (RFC 9112 §6).
+
+    A negative, signed, underscored or repeated ``Content-Length`` (repeats
+    arrive comma-joined), a transfer coding other than ``chunked``, or both
+    headers at once would let the body be parsed as a second request.
+    """
+    encoding = headers.get("transfer-encoding")
+    length = headers.get("content-length")
+    if encoding is not None and length is not None:
+        raise _ProtocolError(400, "Transfer-Encoding together with Content-Length")
+    if encoding is not None and encoding.lower() != "chunked":
+        raise _ProtocolError(400, f"unsupported Transfer-Encoding {encoding[:40]!r}")
+    if length is not None and not _DIGITS.fullmatch(length):
+        raise _ProtocolError(400, f"malformed Content-Length {length[:40]!r}")
 
 
 def _simple_body(status: int, message: str) -> bytes:
@@ -586,6 +606,7 @@ class HTTPWorker:
             if len(raw) > _MAX_LINE:
                 raise _ProtocolError(400, "header line too long")
             if raw in (b"\r\n", b"\n"):
+                _check_framing(headers)
                 return _Request(method.upper(), target, version, headers)
             text = raw.decode("latin-1").rstrip("\r\n")
             name, sep, value = text.partition(":")
@@ -675,12 +696,11 @@ class HTTPWorker:
         return keep_alive and sent
 
     def _body_reader(self, fp, headers: Mapping[str, str]):
-        if "chunked" in headers.get("transfer-encoding", "").lower():
+        # _read_request validated the framing: a Transfer-Encoding here is
+        # exactly "chunked", a Content-Length is plain digits, never both.
+        if "transfer-encoding" in headers:
             return _ChunkedBody(fp)
-        try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
-            raise _ProtocolError(400, "malformed Content-Length") from None
+        length = int(headers.get("content-length", "0"))
         if length > 0:
             return _KnownLengthBody(fp, length)
         return _EmptyBody()
@@ -800,8 +820,8 @@ class PreForkServer:
     ``accept`` on the parent's listening socket.  Either way every worker is
     a full :class:`HTTPWorker` — keep-alive, bounded queue, rate limiting —
     over a fork-copy of the same WSGI app, whose vault state stays coherent
-    across processes through the advisory file locks and stat-gated reloads
-    the service already had.
+    across processes because every worker reads and writes the same SQLite
+    registry (one connection per process and thread).
 
     Lifecycle: :meth:`serve_forever` installs a SIGTERM handler that drains —
     children stop accepting, finish in-flight requests and exit; the parent

@@ -7,32 +7,26 @@ and, per protected dataset, the registered statistic ``v`` and the mark
 ``F(v)`` — persists under one vault directory, and nothing else is needed to
 rebuild a working :class:`~repro.framework.pipeline.ProtectionFramework`.
 
-Storage is pluggable (see :mod:`repro.service.backends`): the default
-``file`` backend keeps the original atomic ``vault.json`` document, the
-``sqlite`` backend keeps per-row state in a WAL-mode ``registry.db`` that
-stays fast at 10k+ tenants.  :class:`KeyVault` is a facade over either — the
-API, the error messages, and (crucially) every protect/detect/dispute result
-are identical across backends.
+Storage is one SQLite ``registry.db`` (see :mod:`repro.service.backends`),
+which stays fast at 10k+ tenants.
 
 Durability contract
 -------------------
 
-File backend: every mutation rewrites the whole document through a temporary
-file followed by ``os.replace`` (atomic on POSIX and NT), then fsyncs.  A
-reader always sees either the previous or the new state, never a torn write.
-SQLite backend: every mutation is one WAL transaction under ``BEGIN
-IMMEDIATE``.  Both artifacts are created with mode ``0600``; secrets are
-stored in the clear — wrapping them in a KMS/HSM is a deployment concern
-outside this reproduction's scope.
+Every mutation is one WAL transaction under ``BEGIN IMMEDIATE``, fsynced
+before it returns (``PRAGMA synchronous=FULL``).  The database is created
+with mode ``0600``; secrets are stored in the clear — wrapping them in a
+KMS/HSM is a deployment concern outside this reproduction's scope.
 
-Concurrent writers *are* arbitrated on both backends (advisory
-:class:`~repro.service.locking.FileLock` read-modify-writes, respectively
-database write transactions), so two protects racing against one vault (two
-CLI invocations, or two HTTP requests on different worker threads or
-processes) serialise instead of losing the earlier update.  Lookup misses
-retry once after the backend's change signal reports fresh state
-(``refresh()``), which is how long-lived pre-fork workers see mutations made
-by other processes without a restart.
+Concurrent writers are arbitrated by the database write lock, so two
+protects racing against one vault (two CLI invocations, or two HTTP requests
+on different worker threads or processes) serialise instead of losing the
+earlier update.  Reads are live: a long-lived pre-fork worker sees tenants,
+datasets and tokens written by other processes without a restart.
+
+A directory holding a vault in the retired JSON-document format
+(``vault.json``) is refused with a pointer to ``repro vault migrate``, which
+converts it (see :mod:`repro.service.legacy`).
 
 Beyond the secrets, the vault also stores one **bearer-token digest** per
 tenant for the HTTP frontend: :meth:`KeyVault.issue_token` generates a token
@@ -51,13 +45,13 @@ import secrets as _secrets
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
-from repro.service.backends import (
-    VAULT_FILENAME,
-    VAULT_VERSION,
-    VaultError,
-    _atomic_write_json,  # noqa: F401  (re-exported; historic import site)
-    make_backend,
-    resolve_backend,
+from repro.service.audit import SQLiteAuditLog, verify_records
+from repro.service.backends import REGISTRY_FILENAME, SQLiteRegistryBackend, VaultError
+from repro.service.legacy import (
+    AUDIT_FILENAME,
+    is_legacy_vault,
+    read_legacy_chain,
+    read_legacy_state,
 )
 
 __all__ = [
@@ -150,56 +144,39 @@ def _tenant_from_json(payload: dict) -> TenantRecord:
 
 
 class KeyVault:
-    """The persistent key/claim material store, one backend per vault.
+    """The persistent key/claim material store.
 
-    A vault is a *directory* (so sibling artifacts such as the claim store
-    and the audit chain live next to the key material) holding either
-    ``vault.json`` (``file`` backend, the default) or ``registry.db``
-    (``sqlite``).  Use :meth:`KeyVault.init` to create one and the
-    constructor to open an existing one; both accept ``backend=`` or a path
-    scheme (``sqlite:/srv/vault``), and opening auto-detects from what is on
-    disk.
+    A vault is a *directory* holding ``registry.db``.  Use
+    :meth:`KeyVault.init` to create one and the constructor to open an
+    existing one.
     """
 
-    def __init__(self, root: str | os.PathLike, *, backend: str | None = None) -> None:
-        if backend is not None and not isinstance(backend, str):
-            # An already-constructed backend object (init's hand-off).
-            self._backend = backend
-            self._root = backend.root
-        else:
-            name, bare = resolve_backend(root, backend)
-            self._root = bare
-            self._backend = make_backend(name, bare)
+    def __init__(self, root: str | os.PathLike) -> None:
+        self._root = os.fspath(root)
+        self._backend = SQLiteRegistryBackend(self._root)
         if not self._backend.exists:
+            _refuse_legacy(self._root)
             raise VaultError(
                 f"no vault at {self._root!r} "
-                f"(expected {self._backend.artifact}; run 'repro vault init' first)"
+                f"(expected {REGISTRY_FILENAME}; run 'repro vault init' first)"
             )
-        # Load eagerly so an unusable vault fails at open, not first lookup.
-        self._backend.reload()
+        # Connect eagerly so an unusable vault fails at open, not first lookup.
+        self._backend.connection()
 
     # ------------------------------------------------------------ construction
     @classmethod
-    def init(cls, root: str | os.PathLike, *, backend: str | None = None) -> "KeyVault":
-        """Create an empty vault at *root* (the directory is created too).
-
-        The backend of a fresh vault is the path scheme / ``backend=`` if
-        given, else ``$REPRO_VAULT_BACKEND``, else ``file``.
-        """
-        name, bare = resolve_backend(root, backend, for_init=True)
-        store = make_backend(name, bare)
-        store.create()
-        return cls(bare, backend=store)
+    def init(cls, root: str | os.PathLike) -> "KeyVault":
+        """Create an empty vault at *root* (the directory is created too)."""
+        _refuse_legacy(os.fspath(root))
+        SQLiteRegistryBackend(root).create()
+        return cls(root)
 
     @classmethod
-    def open_or_init(cls, root: str | os.PathLike, *, backend: str | None = None) -> "KeyVault":
+    def open_or_init(cls, root: str | os.PathLike) -> "KeyVault":
         """Open *root*, initialising it first when empty (service convenience)."""
-        from repro.service.backends import detect_backend, split_backend_scheme
-
-        _, bare = split_backend_scheme(root)
-        if detect_backend(bare) is not None:
-            return cls(root, backend=backend)
-        return cls.init(root, backend=backend)
+        if os.path.exists(os.path.join(root, REGISTRY_FILENAME)):
+            return cls(root)
+        return cls.init(root)
 
     # -------------------------------------------------------------- properties
     @property
@@ -208,32 +185,28 @@ class KeyVault:
 
     @property
     def path(self) -> str:
-        """Path of the backing artifact (``vault.json`` or ``registry.db``)."""
+        """Path of the backing ``registry.db``."""
         return self._backend.path
 
     @property
     def backend(self) -> str:
-        """The storage backend name (``file`` or ``sqlite``)."""
+        """The storage backend name (always ``sqlite``)."""
         return self._backend.name
 
     @property
-    def registry(self):
-        """The underlying backend object (shared with sibling facades)."""
+    def registry(self) -> SQLiteRegistryBackend:
+        """The underlying registry (shared with sibling facades)."""
         return self._backend
 
     def claim_store(self):
-        """A :class:`~repro.service.store.ClaimStore` over this vault's backend."""
+        """A :class:`~repro.service.store.ClaimStore` over this vault's registry."""
         from repro.service.store import ClaimStore
 
-        return ClaimStore(backend=self._backend)
+        return ClaimStore(self._backend)
 
-    def audit_log(self):
+    def audit_log(self) -> SQLiteAuditLog:
         """This vault's append-only hash-chained audit log."""
-        return self._backend.audit_log()
-
-    def change_signal(self) -> tuple:
-        """The backend-provided freshness signal (stat triple / data_version)."""
-        return self._backend.change_signal()
+        return SQLiteAuditLog(self._backend)
 
     # ----------------------------------------------------------------- tenants
     def register_tenant(
@@ -264,8 +237,6 @@ class KeyVault:
 
     def tenant(self, tenant_id: str) -> TenantRecord:
         payload = self._backend.get_tenant(tenant_id)
-        if payload is None and self._backend.refresh():
-            payload = self._backend.get_tenant(tenant_id)
         if payload is None:
             raise VaultError(f"unknown tenant {tenant_id!r} in vault {self._root!r}")
         return _tenant_from_json(payload)
@@ -297,22 +268,14 @@ class KeyVault:
 
         Constant-time digest comparison; ``False`` for unknown tenants and
         tenants that never had a token issued (never an exception — this is
-        the authentication hot path).  A miss retries once after the
-        backend's change signal, so tokens issued or rotated by *another
-        process* (``repro vault token`` against a vault a server is already
-        serving) take effect without a restart.
+        the authentication hot path).  Reads are live, so a token issued or
+        rotated by *another process* (``repro vault token`` against a vault a
+        server is already serving) takes effect without a restart.
         """
         if not token:
             return False
-        if self._token_matches(tenant_id, token):
-            return True
-        return self._backend.refresh() and self._token_matches(tenant_id, token)
-
-    def _token_matches(self, tenant_id: str, token: str) -> bool:
         stored = self._backend.get_token(tenant_id)
-        if not stored:
-            return False
-        return _hmac.compare_digest(stored, _token_digest(token))
+        return bool(stored) and _hmac.compare_digest(stored, _token_digest(token))
 
     def has_token(self, tenant_id: str) -> bool:
         """Whether a bearer token has ever been issued for *tenant_id*."""
@@ -331,11 +294,6 @@ class KeyVault:
     def dataset(self, tenant_id: str, dataset_id: str) -> DatasetRecord:
         self.tenant(tenant_id)  # raises for unknown tenants
         payload = self._backend.get_dataset(tenant_id, dataset_id)
-        if payload is None and self._backend.refresh():
-            # A protect in another process (CLI against a vault a server is
-            # already serving) may have registered the dataset since we
-            # loaded; one gated re-read makes it visible without a restart.
-            payload = self._backend.get_dataset(tenant_id, dataset_id)
         if payload is None:
             raise VaultError(
                 f"tenant {tenant_id!r} has no dataset {dataset_id!r} in vault {self._root!r}"
@@ -345,21 +303,6 @@ class KeyVault:
     def datasets(self, tenant_id: str) -> list[str]:
         self.tenant(tenant_id)
         return self._backend.list_datasets(tenant_id)
-
-    # ------------------------------------------------------------- persistence
-    def reload(self) -> None:
-        """Re-read the backing store (another process may have written it)."""
-        self._backend.reload()
-
-    def reload_if_changed(self) -> bool:
-        """Refresh only when the backend's change signal moved.
-
-        File backend: one ``stat`` against the document's inode/size/mtime.
-        SQLite backend: one ``PRAGMA data_version`` (reads are live there, so
-        this only reports whether another connection committed).  Returns
-        whether anything changed.
-        """
-        return self._backend.refresh()
 
     # ----------------------------------------------------------- bulk (ops/CLI)
     def export_state(self) -> dict:
@@ -371,39 +314,51 @@ class KeyVault:
         self._backend.import_state(state)
 
 
-def migrate_vault(source: "KeyVault", destination: "KeyVault") -> dict:
-    """Copy *source*'s full registry and audit chain into *destination*.
+def migrate_vault(source: str | os.PathLike, destination: str | os.PathLike) -> dict:
+    """Convert the JSON-document vault at *source* into a fresh vault at *destination*.
 
-    The audit chain is copied record by record through the destination's
-    linkage check, so a tampered source chain aborts the migration at the
-    exact broken index instead of laundering the damage into a fresh store.
-    A final ``migrate`` event seals the copy.  Returns summary counts.
+    *source* (``vault.json``, ``claims.json``, ``audit.log``) is only read.
+    Its audit chain is verified before *destination* is created, then
+    replayed record by record through the new chain's linkage check, so a
+    tampered chain aborts at the exact broken index instead of laundering the
+    damage into a fresh store.  A final ``migrate`` event seals the copy.
+    Returns summary counts.
     """
-    state = source.export_state()
-    destination.import_state(state)
-    source_log = source.audit_log()
-    destination_log = destination.audit_log()
-    copied = 0
-    for record in source_log.entries():
-        destination_log.append_raw(dict(record))
-        copied += 1
-    destination_log.append(
+    source = os.fspath(source)
+    if not is_legacy_vault(source):
+        raise VaultError(f"no vault in the JSON-document format at {source!r} to migrate")
+    state = read_legacy_state(source)
+    records = list(read_legacy_chain(os.path.join(source, AUDIT_FILENAME)))
+    verify_records(records)
+    vault = KeyVault.init(destination)
+    vault.import_state(state)
+    log = vault.audit_log()
+    for record in records:
+        log.append_raw(record)
+    tenants = len(state["tenants"])
+    log.append(
         "migrate",
         None,
         payload={
-            "source": source.root,
-            "from_backend": source.backend,
-            "to_backend": destination.backend,
-            "tenants": len(state.get("tenants", {})),
-            "copied_audit_records": copied,
+            "source": source,
+            "from_backend": "file",
+            "tenants": tenants,
+            "copied_audit_records": len(records),
         },
     )
     return {
-        "tenants": len(state.get("tenants", {})),
-        "claims": sum(len(entries) for entries in state.get("claims", {}).values()),
-        "audit_records": copied + 1,
-        "backend": destination.backend,
+        "tenants": tenants,
+        "claims": sum(len(entries) for entries in state["claims"].values()),
+        "audit_records": len(records) + 1,
     }
+
+
+def _refuse_legacy(root: str) -> None:
+    if is_legacy_vault(root):
+        raise VaultError(
+            f"{root!r} holds a vault in the retired JSON-document format (vault.json); "
+            f"convert it with 'repro vault migrate {root} NEW_DIR'"
+        )
 
 
 def _token_digest(token: str) -> str:

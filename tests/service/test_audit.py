@@ -1,9 +1,9 @@
 """Hash-chained audit log: linkage, service capture, and tamper evidence.
 
-Runs against whichever backend ``REPRO_VAULT_BACKEND`` selects (the CI
-backend matrix re-runs it under sqlite), plus backend-explicit corruption
-tests.  The acceptance bar from the issue is exercised literally: flipping
-a *single byte anywhere* in a file chain makes verification fail with the
+The chain lives in the vault's ``registry.db``; JSONL chains (exports and
+the ``audit.log`` of vaults in the retired JSON-document format) are read
+by :mod:`repro.service.legacy` and ``tools/check_audit.py``.  Flipping a
+*single byte anywhere* in a JSONL chain makes verification fail with the
 exact index of the damaged record, via both the library verifier and the
 standalone ``tools/check_audit.py``.
 """
@@ -20,11 +20,11 @@ import pytest
 from repro.service.audit import (
     GENESIS_DIGEST,
     AuditChainError,
-    FileAuditLog,
     build_record,
     record_digest,
     verify_records,
 )
+from repro.service.legacy import read_legacy_chain
 from repro.service.vault import KeyVault
 
 TOOLS_DIR = Path(__file__).resolve().parents[2] / "tools"
@@ -42,7 +42,7 @@ check_audit = load_check_audit()
 
 class TestRecordFormat:
     def test_genesis_linkage(self, tmp_path):
-        log = FileAuditLog(str(tmp_path / "audit.log"))
+        log = KeyVault.init(tmp_path / "v").audit_log()
         first = log.append("register", "acme")
         assert first["index"] == 0
         assert first["prev"] == GENESIS_DIGEST
@@ -66,20 +66,11 @@ class TestRecordFormat:
         assert excinfo.value.index == 0
 
     def test_append_resumes_after_reopen(self, tmp_path):
-        path = str(tmp_path / "audit.log")
-        FileAuditLog(path).append("register", "acme")
-        reopened = FileAuditLog(path)
+        KeyVault.init(tmp_path / "v").audit_log().append("register", "acme")
+        reopened = KeyVault(tmp_path / "v").audit_log()
         record = reopened.append("token", "acme")
         assert record["index"] == 1
         assert reopened.verify() == 2
-
-    def test_refuses_to_append_to_broken_chain(self, tmp_path):
-        path = tmp_path / "audit.log"
-        log = FileAuditLog(str(path))
-        log.append("register", "acme")
-        path.write_text(path.read_text().replace('"acme"', '"evil"'), encoding="utf-8")
-        with pytest.raises(AuditChainError):
-            FileAuditLog(str(path)).append("token", "acme")
 
 
 class TestServiceCapture:
@@ -136,17 +127,26 @@ class TestServiceCapture:
 
 
 def seeded_file_chain(tmp_path, records=6):
-    """A vault-shaped dir whose audit.log holds *records* chained entries."""
+    """A dir whose audit.log holds *records* chained JSONL entries."""
     root = tmp_path / "chain"
     root.mkdir()
-    log = FileAuditLog(str(root / "audit.log"))
+    prev, lines = GENESIS_DIGEST, []
     for index in range(records):
-        log.append("register", f"tenant-{index}", payload={"step": index})
+        record = build_record(
+            index, prev, "register", f"tenant-{index}", None, {"step": index}
+        )
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        prev = record["digest"]
+    (root / "audit.log").write_text("".join(lines), encoding="utf-8")
     return root
 
 
+def verify_jsonl(path):
+    return verify_records(read_legacy_chain(path))
+
+
 def seeded_sqlite_chain(tmp_path, records=6):
-    vault = KeyVault.init(tmp_path / "chain-sql", backend="sqlite")
+    vault = KeyVault.init(tmp_path / "chain-sql")
     log = vault.audit_log()
     for index in range(records):
         log.append("register", f"tenant-{index}", payload={"step": index})
@@ -165,18 +165,17 @@ class TestTamperEvidence:
         def record_of(offset):
             return next(i for i, end in enumerate(boundaries) if offset <= end)
 
-        log = FileAuditLog(str(path))
-        assert log.verify() == 4
+        assert verify_jsonl(path) == 4
         for offset in range(len(pristine)):
             mutated = bytearray(pristine)
             mutated[offset] ^= 0x01
             path.write_bytes(bytes(mutated))
             with pytest.raises(AuditChainError) as excinfo:
-                FileAuditLog(str(path)).verify()
+                verify_jsonl(path)
             # The reported index never points past the damaged record.
             assert 0 <= excinfo.value.index <= record_of(offset)
         path.write_bytes(pristine)
-        assert FileAuditLog(str(path)).verify() == 4
+        assert verify_jsonl(path) == 4
 
     def test_truncated_partial_record_reports_tail_index(self, tmp_path):
         root = seeded_file_chain(tmp_path, records=5)
@@ -184,7 +183,7 @@ class TestTamperEvidence:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 30])  # chop into the last record
         with pytest.raises(AuditChainError) as excinfo:
-            FileAuditLog(str(path)).verify()
+            verify_jsonl(path)
         assert excinfo.value.index == 4
 
     def test_deleting_a_middle_record_breaks_at_the_gap(self, tmp_path):
@@ -193,7 +192,7 @@ class TestTamperEvidence:
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:2] + lines[3:]))
         with pytest.raises(AuditChainError) as excinfo:
-            FileAuditLog(str(path)).verify()
+            verify_jsonl(path)
         assert excinfo.value.index == 2
 
     def test_sqlite_row_edit_reports_exact_index(self, tmp_path):
@@ -236,7 +235,7 @@ class TestCheckAuditTool:
         root = seeded_file_chain(tmp_path)
         check_audit.main([str(root), "--json"])
         report = json.loads(capsys.readouterr().out)
-        records = list(FileAuditLog(str(root / "audit.log")).entries())
+        records = list(read_legacy_chain(root / "audit.log"))
         assert report["head"] == records[-1]["digest"]
 
     def test_flipped_byte_gives_exit_1_and_exact_index(self, tmp_path, capsys):

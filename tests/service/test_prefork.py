@@ -217,6 +217,63 @@ class TestKeepAliveConformance:
         sock.close()
 
 
+class TestStrictFraming:
+    """Ambiguous body framing answers 400 and closes, so nothing is smuggled."""
+
+    SMUGGLED = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            "Content-Length: -5",
+            "Content-Length: 1_0",
+            "Content-Length: +5",
+            "Content-Length: 0x5",
+            "Content-Length: ",
+            "Content-Length: 5\r\nContent-Length: 5",
+            "Transfer-Encoding: xchunked",
+            "Transfer-Encoding: gzip, chunked",
+            "Transfer-Encoding: chunked\r\nContent-Length: 5",
+        ],
+    )
+    def test_bad_framing_answers_400_and_closes(self, served, framing):
+        _, url, _, _ = served
+        sock = _connect(url)
+        handle = sock.makefile("rb")
+        # Whatever follows the head would be a second request if the
+        # framing were read leniently; it must never be answered.
+        _send(sock, f"POST /healthz HTTP/1.1\r\nHost: x\r\n{framing}\r\n\r\n{self.SMUGGLED}")
+        status, headers, body = _read_response(handle)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "error" in json.loads(body)
+        assert handle.read() == b""  # closed: the smuggled request got no answer
+        handle.close()
+        sock.close()
+
+    @pytest.mark.parametrize(
+        "framing, body",
+        [
+            ("Content-Length: 5", "hello"),
+            ("Transfer-Encoding: chunked", "5\r\nhello\r\n0\r\n\r\n"),
+            ("Transfer-Encoding: Chunked", "5\r\nhello\r\n0\r\n\r\n"),
+        ],
+    )
+    def test_valid_framing_keeps_the_connection(self, served, framing, body):
+        _, url, _, _ = served
+        sock = _connect(url)
+        handle = sock.makefile("rb")
+        _send(sock, f"POST /healthz HTTP/1.1\r\nHost: x\r\n{framing}\r\n\r\n{body}")
+        status, headers, _ = _read_response(handle)
+        assert status == 405
+        assert headers["connection"] == "keep-alive"
+        _send(sock, self.SMUGGLED)
+        status, _, _ = _read_response(handle)
+        assert status == 200
+        handle.close()
+        sock.close()
+
+
 class TestIdentityThroughPrefork:
     def test_protect_byte_identical_to_in_process(
         self, served, protected_http, raw_csv, tmp_path

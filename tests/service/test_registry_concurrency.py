@@ -2,10 +2,9 @@
 
 The pre-fork HTTP server means *processes*, not threads, race on the
 registry.  These tests fork real workers (the same start method the server
-uses) against each backend and assert the two properties the issue names:
-every mutation survives (no lost updates under the file backend's
-read-modify-write, no busy-timeout failures under SQLite), and concurrent
-audit appends produce one verifiable linear chain — never a fork.
+uses) and assert two properties: every mutation survives (no lost updates,
+no busy-timeout failures), and concurrent audit appends produce one
+verifiable linear chain — never a fork.
 """
 
 import multiprocessing
@@ -15,7 +14,6 @@ import pytest
 
 from repro.service.vault import DatasetRecord, KeyVault
 
-BACKENDS = ("file", "sqlite")
 WORKERS = 4
 PER_WORKER = 6
 
@@ -86,11 +84,10 @@ def _run_workers(target, root):
     assert all(process.exitcode == 0 for process in processes)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestNoLostUpdates:
-    def test_registry_mutations_all_survive(self, tmp_path, backend):
+    def test_registry_mutations_all_survive(self, tmp_path):
         root = tmp_path / "v"
-        KeyVault.init(root, backend=backend)
+        KeyVault.init(root)
         _run_workers(_mutate, root)
 
         vault = KeyVault(root)
@@ -100,9 +97,9 @@ class TestNoLostUpdates:
             assert vault.has_token(tenant)
             assert len(vault.datasets(tenant)) == 1
 
-    def test_concurrent_audit_appends_form_one_verifiable_chain(self, tmp_path, backend):
+    def test_concurrent_audit_appends_form_one_verifiable_chain(self, tmp_path):
         root = tmp_path / "v"
-        KeyVault.init(root, backend=backend)
+        KeyVault.init(root)
         _run_workers(_mutate, root)
 
         log = KeyVault(root).audit_log()
@@ -115,9 +112,9 @@ class TestNoLostUpdates:
         }
         assert seen == {(w, s) for w in range(WORKERS) for s in range(PER_WORKER)}
 
-    def test_concurrent_claims_merge_without_loss(self, tmp_path, backend):
+    def test_concurrent_claims_merge_without_loss(self, tmp_path):
         root = tmp_path / "v"
-        KeyVault.init(root, backend=backend)
+        KeyVault.init(root)
         _run_workers(_claim, root)
 
         store = KeyVault(root).claim_store()
@@ -131,7 +128,7 @@ class TestForkedConnectionSafety:
     def test_sqlite_connection_not_shared_across_fork(self, tmp_path):
         """A child must get its own connection, not the parent's (pid check)."""
         root = tmp_path / "v"
-        vault = KeyVault.init(root, backend="sqlite")
+        vault = KeyVault.init(root)
         vault.register_tenant("parent")  # parent now holds a live connection
 
         errors = mp.Queue()
@@ -154,7 +151,7 @@ class TestForkedConnectionSafety:
     def test_sqlite_busy_writers_serialise_instead_of_failing(self, tmp_path):
         """BEGIN IMMEDIATE + busy timeout: writers queue, none error out."""
         root = tmp_path / "v"
-        KeyVault.init(root, backend="sqlite")
+        KeyVault.init(root)
         _run_workers(_mutate, root)
         conn = sqlite3.connect(root / "registry.db")
         try:

@@ -1,21 +1,10 @@
-"""Tests for the atomic file-backed key vault."""
+"""Tests for the SQLite-backed key vault."""
 
-import json
 import os
 
 import pytest
 
-from repro.service.backends import BACKEND_ENV, backend_from_env
 from repro.service.vault import DatasetRecord, KeyVault, TenantRecord, VaultError
-
-# A handful of tests assert file-document specifics (JSON snapshots,
-# hand-edited version fields); they skip under other backends, each with a
-# sqlite counterpart in test_backends.py (see tests/service/conftest.py).
-_ACTIVE_BACKEND = backend_from_env() or "file"
-requires_file_backend = pytest.mark.skipif(
-    _ACTIVE_BACKEND != "file",
-    reason=f"asserts file-document semantics ({BACKEND_ENV}={_ACTIVE_BACKEND})",
-)
 
 
 class TestVaultLifecycle:
@@ -38,14 +27,6 @@ class TestVaultLifecycle:
         first.register_tenant("acme")
         second = KeyVault.open_or_init(tmp_path / "v")
         assert second.tenants() == ["acme"]
-
-    @requires_file_backend  # sqlite counterpart: test_backends.py (meta version)
-    def test_unsupported_version_rejected(self, tmp_path):
-        vault = KeyVault.init(tmp_path / "v")
-        with open(vault.path, "w", encoding="utf-8") as handle:
-            json.dump({"version": 99, "tenants": {}}, handle)
-        with pytest.raises(VaultError, match="version"):
-            KeyVault(tmp_path / "v")
 
 
 class TestTenants:
@@ -132,20 +113,10 @@ class TestDatasets:
 
 
 class TestAtomicity:
-    def test_no_tmp_file_left_and_restrictive_mode(self, tmp_path):
+    def test_restrictive_mode(self, tmp_path):
         vault = KeyVault.init(tmp_path / "v")
         vault.register_tenant("acme")
-        assert not os.path.exists(vault.path + ".tmp")
         assert (os.stat(vault.path).st_mode & 0o777) == 0o600
-
-    @requires_file_backend  # sqlite readers are live by design (WAL snapshots)
-    def test_mutations_visible_without_reload_only_after_save(self, tmp_path):
-        writer = KeyVault.init(tmp_path / "v")
-        reader = KeyVault(tmp_path / "v")
-        writer.register_tenant("acme")
-        assert "acme" not in reader.tenants()
-        reader.reload()
-        assert reader.tenants() == ["acme"]
 
 
 class TestBearerTokens:
@@ -251,12 +222,12 @@ class TestConcurrentWriters:
     def test_racing_claim_stores_merge(self, tmp_path):
         import threading
 
-        from repro.service.store import ClaimStore
         from repro.watermarking.keys import WatermarkKey
         from repro.watermarking.mark import Mark
         from repro.watermarking.ownership import OwnershipClaim
 
-        path = tmp_path / "claims.json"
+        root = tmp_path / "v"
+        KeyVault.init(root)
 
         def claim_for(name: str) -> OwnershipClaim:
             return OwnershipClaim(
@@ -270,20 +241,20 @@ class TestConcurrentWriters:
             )
 
         def add(index: int) -> None:
-            ClaimStore(path).add_claim("dataset", claim_for(f"claimant-{index}"))
+            KeyVault(root).claim_store().add_claim("dataset", claim_for(f"claimant-{index}"))
 
         threads = [threading.Thread(target=add, args=(index,)) for index in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert sorted(ClaimStore(path).claimants("dataset")) == [
+        assert sorted(KeyVault(root).claim_store().claimants("dataset")) == [
             f"claimant-{index}" for index in range(8)
         ]
 
 
 class TestCrossProcessFreshness:
-    """A long-lived handle sees writes from other handles (stat-gated reload)."""
+    """A long-lived handle sees writes from other handles (live reads)."""
 
     def test_dataset_written_elsewhere_is_visible(self, tmp_path):
         root = tmp_path / "v"
@@ -302,23 +273,14 @@ class TestCrossProcessFreshness:
         KeyVault(root).register_tenant("late")
         assert server_view.tenant("late").tenant_id == "late"
 
-    def test_unchanged_file_is_not_reparsed(self, tmp_path):
-        root = tmp_path / "v"
-        vault = KeyVault.init(root)
-        vault.register_tenant("acme")
-        assert vault.reload_if_changed() is False
-        with pytest.raises(VaultError, match="no dataset"):
-            vault.dataset("acme", "ghost")
-
     def test_claims_written_elsewhere_visible_to_reader(self, tmp_path):
-        from repro.service.store import ClaimStore
         from repro.watermarking.keys import WatermarkKey
         from repro.watermarking.mark import Mark
         from repro.watermarking.ownership import OwnershipClaim
 
-        path = tmp_path / "claims.json"
-        reader = ClaimStore(path)
-        ClaimStore(path).add_claim(
+        root = tmp_path / "v"
+        reader = KeyVault.init(root).claim_store()
+        KeyVault(root).claim_store().add_claim(
             "d",
             OwnershipClaim(
                 claimant="owner",
