@@ -102,10 +102,37 @@ class _Codec:
         framed = framed.ljust(padded_len, b"\x00")
         return [int.from_bytes(framed[i : i + 8], "big") for i in range(0, len(framed), 8)]
 
-    def from_blocks(self, blocks: list[int]) -> str:
-        raw = b"".join(block.to_bytes(8, "big") for block in blocks)
-        length = int.from_bytes(raw[:2], "big")
-        return raw[2 : 2 + length].decode(self.encoding)
+    def unframe(self, framed: bytes) -> str:
+        """Invert the framing of :meth:`to_blocks`, accepting only what it emits.
+
+        The length prefix must account for every block but the padding, and
+        the padding must be zeros, so each identifier has exactly one framed
+        spelling (``ValueError`` otherwise).
+        """
+        end = 2 + int.from_bytes(framed[:2], "big")
+        if len(framed) != -(-end // 8) * 8:
+            raise ValueError("length prefix does not match the number of blocks")
+        if any(framed[end:]):
+            raise ValueError("padding after the framed value is not zero")
+        return framed[2:end].decode(self.encoding)
+
+
+def _token_blocks(token: str) -> list[int]:
+    """Parse a token into 64-bit blocks, accepting only what ``encrypt`` emits.
+
+    That is lowercase hexadecimal, a positive multiple of 16 digits long and
+    nothing else: no whitespace, sign, ``_`` separator, ``0x`` prefix or
+    uppercase digit, so distinct cell values never decrypt to one identifier.
+    """
+    if len(token) % 16 != 0 or not token:
+        raise ValueError("token length must be a positive multiple of 16 hex digits")
+    try:
+        raw = bytes.fromhex(token)
+    except ValueError as exc:
+        raise ValueError("token is not valid hexadecimal") from exc
+    if raw.hex() != token:
+        raise ValueError("token is not canonical lowercase hexadecimal")
+    return [int.from_bytes(raw[i : i + 8], "big") for i in range(0, len(raw), 8)]
 
 
 class FieldEncryptor:
@@ -191,16 +218,49 @@ class FieldEncryptor:
         return tokens
 
     def decrypt(self, token: str) -> str:
-        """Invert :meth:`encrypt`."""
-        if len(token) % 16 != 0 or not token:
-            raise ValueError("token length must be a positive multiple of 16 hex digits")
-        try:
-            blocks = [int(token[i : i + 16], 16) for i in range(0, len(token), 16)]
-        except ValueError as exc:
-            raise ValueError("token is not valid hexadecimal") from exc
+        """Invert :meth:`encrypt`; any token it cannot emit raises ``ValueError``."""
         previous = self._iv
-        plain: list[int] = []
-        for block in blocks:
-            plain.append(self._cipher.decrypt_block(block) ^ previous)
+        framed = bytearray()
+        for block in _token_blocks(token):
+            framed += (self._cipher.decrypt_block(block) ^ previous).to_bytes(8, "big")
             previous = block
-        return self._codec.from_blocks(plain)
+        return self._codec.unframe(bytes(framed))
+
+    def decrypt_many(self, tokens: Iterable[str]) -> list[str]:
+        """Decrypt a whole column of tokens; one identifier per input token.
+
+        Equal to ``[self.decrypt(t) for t in tokens]`` — same token grammar,
+        CBC chaining, Feistel arithmetic and framing checks — with the key
+        schedule of :meth:`encrypt_many`: HMAC pads derived once per call
+        (round keys in reverse order) and cloned per round.  There is no
+        memo: the identifying columns it decrypts hold unique values.  The
+        first token the scalar path would reject raises the same exception
+        here, so a caller for whom one failure decides the outcome stops at
+        it.
+        """
+        from repro.crypto.batch import _hmac_pads  # deferred: keeps crypto deps acyclic
+
+        rounds = [
+            (inner.copy, outer.copy)
+            for inner, outer in (_hmac_pads(key) for key in reversed(self._cipher._round_keys))
+        ]
+        iv = self._iv
+        unframe = self._codec.unframe
+        clear: list[str] = []
+        append = clear.append
+        for token in tokens:
+            previous = iv
+            framed = bytearray()
+            for block in _token_blocks(token):
+                left = (block >> _HALF_BITS) & _HALF_MASK
+                right = block & _HALF_MASK
+                for inner_copy, outer_copy in rounds:
+                    digest = inner_copy()
+                    digest.update(left.to_bytes(4, "big"))
+                    outer = outer_copy()
+                    outer.update(digest.digest())
+                    left, right = right ^ int.from_bytes(outer.digest()[:4], "big"), left
+                framed += (((left << _HALF_BITS) | right) ^ previous).to_bytes(8, "big")
+                previous = block
+            append(unframe(bytes(framed)))
+        return clear

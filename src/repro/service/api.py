@@ -28,6 +28,7 @@ from repro.framework.pipeline import ProtectionFramework
 from repro.metrics.information_loss import table_information_loss
 from repro.metrics.usage_metrics import UsageMetrics
 from repro.ontology.registry import standard_ontology
+from repro.relational.columnar import ColumnarTable
 from repro.relational.schema import TableSchema, medical_schema
 from repro.relational.table import Table
 from repro.service.executor import ShardExecutor
@@ -586,7 +587,7 @@ class ProtectionService:
         claims = self._claims.claims(dataset_id) + list(extra_claims)
         if not claims:
             raise VaultError(f"no claims stored for dataset {dataset_id!r}")
-        table = Table(self._schema, iter_rows(disputed_csv, self._schema))
+        table = ColumnarTable.from_csv(disputed_csv, self._schema)
         binned = suspect_view(
             table, self._trees, self._schema, k=record.k, metrics_depth=record.metrics_depth
         )

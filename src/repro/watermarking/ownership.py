@@ -162,23 +162,23 @@ class OwnershipRegistry:
     def assess_claim(self, disputed: BinnedTable, claim: OwnershipClaim) -> ClaimAssessment:
         """Evaluate one claim against the disputed table."""
         encryptor = FieldEncryptor(claim.encryption_key)
-        ident_columns = disputed.identifying_columns
-        clear: list[str] = []
-        decryption_ok = True
-        for row in disputed.table:
-            for column in ident_columns:
-                try:
-                    clear.append(encryptor.decrypt(str(row[column])))
-                except (ValueError, UnicodeDecodeError):
-                    decryption_ok = False
+        table = disputed.table
+        columns = [table.column_values(name) for name in disputed.identifying_columns]
+        # Row-major, as the rows are read: the statistic's float sum adds the
+        # identifiers in this order.
+        tokens = [str(value) for row in zip(*columns) for value in row]
         recomputed: float | None = None
         statistic_ok = False
-        if decryption_ok:
-            try:
-                recomputed = identifier_statistic(clear)
-                statistic_ok = abs(recomputed - claim.registered_statistic) < self._tau
-            except ValueError:
-                decryption_ok = False
+        try:
+            # One undecryptable token already fails the claim and discards
+            # everything decrypted, so the sweep stops at the first one.  A
+            # column that decrypts to no numeric identifier fails it too.
+            recomputed = identifier_statistic(encryptor.decrypt_many(tokens))
+        except (ValueError, UnicodeDecodeError):
+            decryption_ok = False
+        else:
+            decryption_ok = True
+            statistic_ok = abs(recomputed - claim.registered_statistic) < self._tau
 
         expected = Mark.from_statistic(
             claim.registered_statistic, self._mark_length, precision=self._precision

@@ -110,3 +110,114 @@ class TestFieldEncryptor:
         # repeated ciphertext blocks.
         blocks = [token[i : i + 16] for i in range(0, len(token), 16)]
         assert len(set(blocks)) == len(blocks)
+
+
+def forge(encryptor: FieldEncryptor, framed: bytes) -> str:
+    """Encrypt raw framed bytes with *encryptor*'s key, bypassing the codec.
+
+    Produces tokens whose blocks decrypt to framing ``encrypt`` never emits
+    (overlong length prefix, non-zero padding, an extra block).
+    """
+    previous = encryptor._iv
+    parts = []
+    for offset in range(0, len(framed), 8):
+        previous = encryptor._cipher.encrypt_block(int.from_bytes(framed[offset : offset + 8], "big") ^ previous)
+        parts.append(previous.to_bytes(8, "big").hex())
+    return "".join(parts)
+
+
+def leading_zero_token(encryptor: FieldEncryptor) -> tuple[str, str]:
+    """A ``(value, token)`` pair whose token starts with two zero digits."""
+    for number in range(100_000):
+        value = str(number)  # one block each, so every token differs
+        token = encryptor.encrypt(value)
+        if token.startswith("00"):
+            return value, token
+    raise AssertionError("no token with a leading zero byte found")
+
+
+class TestTokenGrammar:
+    """Decryption accepts exactly the tokens ``encrypt`` emits.
+
+    Parsing blocks with ``int(block, 16)`` used to accept every spelling
+    below, so several cell values decrypted to one identifier.  Each one is
+    checked on the scalar and the batched path.
+    """
+
+    @pytest.fixture(scope="class")
+    def encryptor(self):
+        return FieldEncryptor("secret")
+
+    @pytest.fixture(scope="class")
+    def canonical(self, encryptor):
+        return leading_zero_token(encryptor)
+
+    @staticmethod
+    def assert_rejected(encryptor, token, valid):
+        with pytest.raises(ValueError):
+            encryptor.decrypt(token)
+        with pytest.raises(ValueError):
+            encryptor.decrypt_many([token])
+        with pytest.raises(ValueError):
+            encryptor.decrypt_many([valid, token, valid])
+
+    def test_canonical_token_decrypts(self, encryptor, canonical):
+        value, token = canonical
+        assert encryptor.decrypt(token) == value
+        assert encryptor.decrypt_many([token]) == [value]
+
+    @pytest.mark.parametrize(
+        "respell",
+        [
+            pytest.param(lambda t: t.upper(), id="uppercase"),
+            pytest.param(lambda t: " " + t[1:], id="leading-space"),
+            pytest.param(lambda t: t[1:16] + "\t" + t[16:], id="trailing-tab-in-block"),
+            pytest.param(lambda t: "+" + t[1:], id="plus-sign"),
+            pytest.param(lambda t: t[1] + "_" + t[2:], id="underscore-separator"),
+            pytest.param(lambda t: "0x" + t[2:], id="0x-prefix"),
+            pytest.param(lambda t: "٠" + t[1:], id="non-ascii-digit"),
+        ],
+    )
+    def test_respelled_hex_is_rejected(self, encryptor, canonical, respell):
+        _, token = canonical
+        respelled = respell(token)
+        assert respelled != token and len(respelled) == len(token)
+        self.assert_rejected(encryptor, respelled, token)
+
+    def test_overlong_length_prefix_is_rejected(self, encryptor):
+        valid = encryptor.encrypt("123456")
+        self.assert_rejected(encryptor, forge(encryptor, b"\x00\x14123456"), valid)
+
+    def test_non_zero_padding_is_rejected(self, encryptor):
+        valid = encryptor.encrypt("12345")
+        self.assert_rejected(encryptor, forge(encryptor, b"\x00\x0512345\x07"), valid)
+
+    def test_extra_zero_block_is_rejected(self, encryptor):
+        valid = encryptor.encrypt("12345")
+        self.assert_rejected(encryptor, forge(encryptor, b"\x00\x0512345\x00" + bytes(8)), valid)
+
+    def test_forged_canonical_framing_decrypts(self, encryptor):
+        # The forging helper itself is faithful: canonical framing round-trips.
+        assert forge(encryptor, b"\x00\x0512345\x00") == encryptor.encrypt("12345")
+
+
+class TestDecryptMany:
+    # Equality with the scalar path is the hypothesis suite's job
+    # (tests/properties/test_property_crypto.py); these pin the sweep itself.
+    def test_accepts_any_iterable(self):
+        enc = FieldEncryptor("secret")
+        tokens = enc.encrypt_many(["1", "2"])
+        assert enc.decrypt_many(iter(tokens)) == ["1", "2"]
+
+    def test_stops_at_the_first_bad_token(self):
+        enc = FieldEncryptor("secret")
+        consumed = []
+
+        def column():
+            for token in (enc.encrypt("1"), "zz" * 8, enc.encrypt("2")):
+                consumed.append(token)
+                yield token
+
+        with pytest.raises(ValueError):
+            enc.decrypt_many(column())
+        assert len(consumed) == 2
