@@ -9,11 +9,12 @@ Measures the throughput of the three hot pipelines on a table of
   (``batch=False``), which are bit-identical by construction;
 * the four **attack simulators**, which now run on copy-on-write tables;
 * raw **table copying** — ``Table.copy()`` versus ``Table.lazy_copy()``;
-* the **protect hot path on both table substrates** — binning rewrite
+* the **protect hot path, column store versus row store** — binning rewrite
   (identifier encryption + ultimate generalisation) followed by the tuple
-  framing sweep (``ident_values`` + ``collect_votes``) on the row-store
-  :class:`Table` versus the columnar :class:`ColumnarTable`, asserted
-  bit-identical and >= 1.5x faster columnar at paper scale.
+  framing sweep (``ident_values`` + ``collect_votes``) on the shipped
+  column-store :class:`Table` versus the row-store reference in
+  ``tests/oracles/row_store.py`` (row-wise rewrite, row-dict vote loop),
+  asserted bit-identical and >= 1.5x faster columnar at paper scale.
 
 The asserted ``speedup`` (embed+detect, scalar / batched, best-of-3) is
 attached to the benchmark JSON as ``extra_info`` so the trajectory is tracked
@@ -32,6 +33,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -42,8 +44,11 @@ from repro.attacks.generalization_attack import GeneralizationAttack
 from repro.binning.binner import BinnedTable, rewrite_table
 from repro.crypto.cipher import FieldEncryptor
 from repro.experiments.config import ExperimentConfig, build_workload
-from repro.relational.columnar import ColumnarTable
+from repro.relational.table import Table
 from repro.watermarking.hierarchical import HierarchicalWatermarker
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import row_store  # noqa: E402  (the row-store reference lives with the tests)
 
 TIMING_ROUNDS = 3
 
@@ -72,19 +77,21 @@ def _best_of(func, rounds: int = TIMING_ROUNDS) -> float:
 
 
 def _protect_hot_path(workload, raw_table):
-    """Binning rewrite + tuple framing over *raw_table*'s substrate.
+    """Binning rewrite + tuple framing over *raw_table*.
 
     This is the per-chunk core of streaming protect/detect: encrypt the
     identifying column(s), generalise the ultimate columns, then sweep the
     rewritten identifier column through the keyed-hash tuple framing
-    (``ident_values`` + ``collect_votes``).  ``rewrite_table`` dispatches on
-    the substrate, so passing a row-store :class:`Table` times the seed's
-    per-row path and passing a :class:`ColumnarTable` times the column sweeps.
+    (``ident_values`` + ``collect_votes``).  A row-store reference table
+    (``row_store.Table``) takes the reference's row-wise rewrite and row-dict
+    vote loop; the shipped :class:`Table` takes the column sweeps.
     """
     config = workload.config
     binned = workload.protected.binning_result.binned
     encryptor = FieldEncryptor(config.encryption_key)
-    rewritten = rewrite_table(
+    on_rows = isinstance(raw_table, row_store.Table)
+    rewrite = row_store.rewrite_table if on_rows else rewrite_table
+    rewritten = rewrite(
         raw_table, raw_table.schema, encryptor, binned.ultimate_generalizations()
     )
     framed = BinnedTable(
@@ -101,7 +108,10 @@ def _protect_hot_path(workload, raw_table):
         workload.framework.watermark_key,
         copies=config.effective_copies(len(workload.trees)),
     )
-    votes = watermarker.collect_votes(framed, config.mark_length)
+    if on_rows:
+        votes = row_store.collect_votes(watermarker, framed, config.mark_length)
+    else:
+        votes = watermarker.collect_votes(framed, config.mark_length)
     return rewritten, votes
 
 
@@ -171,16 +181,21 @@ def test_attack_suite_on_cow_tables(benchmark, scaling_workload):
 
 @pytest.fixture(scope="module")
 def columnar_raw_table(scaling_workload):
-    return ColumnarTable(scaling_workload.table.schema, scaling_workload.table.rows)
+    return scaling_workload.table
 
 
-def test_rewrite_and_frame_row_store(benchmark, scaling_workload):
-    _protect_hot_path(scaling_workload, scaling_workload.table)  # warm-up
+@pytest.fixture(scope="module")
+def row_store_raw_table(scaling_workload):
+    return row_store.Table(scaling_workload.table.schema, scaling_workload.table)
+
+
+def test_rewrite_and_frame_row_store(benchmark, scaling_workload, row_store_raw_table):
+    _protect_hot_path(scaling_workload, row_store_raw_table)  # warm-up
     benchmark.pedantic(
-        _protect_hot_path, args=(scaling_workload, scaling_workload.table),
+        _protect_hot_path, args=(scaling_workload, row_store_raw_table),
         rounds=TIMING_ROUNDS, iterations=1, warmup_rounds=1,
     )
-    benchmark.extra_info["rows"] = len(scaling_workload.table)
+    benchmark.extra_info["rows"] = len(row_store_raw_table)
 
 
 def test_rewrite_and_frame_columnar(benchmark, scaling_workload, columnar_raw_table):
@@ -192,18 +207,21 @@ def test_rewrite_and_frame_columnar(benchmark, scaling_workload, columnar_raw_ta
     benchmark.extra_info["rows"] = len(columnar_raw_table)
 
 
-def test_columnar_speedup_and_equivalence(benchmark, scaling_workload, columnar_raw_table):
+def test_columnar_speedup_and_equivalence(
+    benchmark, scaling_workload, columnar_raw_table, row_store_raw_table
+):
     """Columnar vs row-store hot path: bit-identical, >= 1.5x at paper scale."""
-    row_rewritten, row_votes = _protect_hot_path(scaling_workload, scaling_workload.table)
+    row_rewritten, row_votes = _protect_hot_path(scaling_workload, row_store_raw_table)
     col_rewritten, col_votes = _protect_hot_path(scaling_workload, columnar_raw_table)
-    assert isinstance(col_rewritten, ColumnarTable)
+    assert isinstance(row_rewritten, row_store.Table)
+    assert isinstance(col_rewritten, Table)
     assert row_rewritten == col_rewritten
     assert row_votes.votes == col_votes.votes
     assert row_votes.tuples_selected == col_votes.tuples_selected
     assert row_votes.cells_read == col_votes.cells_read
     assert row_votes.votes_cast == col_votes.votes_cast
 
-    row_time = _best_of(lambda: _protect_hot_path(scaling_workload, scaling_workload.table))
+    row_time = _best_of(lambda: _protect_hot_path(scaling_workload, row_store_raw_table))
     columnar_time = _best_of(lambda: _protect_hot_path(scaling_workload, columnar_raw_table))
     speedup = row_time / columnar_time
     benchmark.extra_info["rows"] = len(scaling_workload.table)
@@ -245,9 +263,9 @@ def main() -> int:
         scalar_time = _best_of(lambda: _embed_detect(workload, batch=False))
         batched_time = _best_of(lambda: _embed_detect(workload, batch=True))
         attack_time = _best_of(lambda: _run_attacks(workload.protected.watermarked))
-        columnar_raw = ColumnarTable(workload.table.schema, workload.table.rows)
-        row_time = _best_of(lambda: _protect_hot_path(workload, workload.table))
-        columnar_time = _best_of(lambda: _protect_hot_path(workload, columnar_raw))
+        row_raw = row_store.Table(workload.table.schema, workload.table)
+        row_time = _best_of(lambda: _protect_hot_path(workload, row_raw))
+        columnar_time = _best_of(lambda: _protect_hot_path(workload, workload.table))
         print(
             f"{size:>8} {scalar_time:>10.3f} {batched_time:>10.3f} "
             f"{scalar_time / batched_time:>7.2f}x {attack_time:>10.3f}"

@@ -59,8 +59,7 @@ class SubsetAdditionAttack:
             if name not in columns and name not in ident_columns
         ]
         # Generate the bogus rows first (keeping the PRNG draw order), then
-        # bulk-insert: one copy-on-write check and straight appends on the
-        # columnar substrate, per-row inserts on the row store as before.
+        # bulk-insert: one copy-on-write check and straight column appends.
         template = {column: template_row[column] for column in other_columns}
         bogus_rows: list[dict[str, object]] = []
         for _ in range(n_new):

@@ -58,7 +58,7 @@ class SubsetAlterationAttack:
         indices = rng.subset_indices(len(attacked.table), self.fraction)
         # Draw the replacement values row-major (the draw order fixes the PRNG
         # stream, so it must not change), then apply them column by column —
-        # one bulk write per column on the columnar substrate.
+        # one bulk write per column.
         picks: dict[str, list[object]] = {column: [] for column in columns}
         for index in indices:
             for column in columns:

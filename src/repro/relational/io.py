@@ -1,4 +1,4 @@
-"""Schema-aware CSV parsing shared by the table class, the CLI and the service.
+"""The CSV text forms of cells, shared by the table class, the CLI and the service.
 
 The protection pipeline round-trips tables through CSV at two points: the
 owner exports the outsourced table (``Table.to_csv``) and later re-ingests a
@@ -10,11 +10,10 @@ a cell can take:
 * generalized numeric cells — half-open :class:`~repro.dht.node.Interval`
   literals such as ``[25,30)`` or ``[25.0, 30.0)`` written by binning.
 
-Historically the interval form was produced by ``to_csv`` but only understood
-by a hand-rolled parser inside the CLI (and only in one spelling); this module
-is the single place where the mapping lives.  The readers are generators, so
-the service's streaming layer can ingest million-row files without
-materialising a full :class:`~repro.relational.table.Table`.
+:func:`coerce_numeric_cell` is the read half (the reader itself,
+:class:`~repro.relational.table.CsvParsePlan`, parses straight into column
+buffers); :func:`write_table_rows` and :func:`render_csv_rows` are the emit
+half, the one CSV dialect every writer uses.
 
 This module deliberately imports only the schema and the interval type — no
 ``Table`` — so ``table.py`` can use it without an import cycle.
@@ -23,17 +22,19 @@ This module deliberately imports only the schema and the interval type — no
 from __future__ import annotations
 
 import csv
-from typing import Iterable, Iterator, Mapping
+import io
+from typing import TYPE_CHECKING, TextIO
 
 from repro.dht.node import Interval
-from repro.relational.schema import ColumnType, TableSchema
+from repro.relational.schema import TableSchema
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.relational.table import Table
 
 __all__ = [
     "coerce_numeric_cell",
-    "parse_cell",
-    "parse_row",
-    "iter_csv_rows",
-    "write_csv_rows",
+    "write_table_rows",
+    "render_csv_rows",
 ]
 
 
@@ -53,54 +54,26 @@ def coerce_numeric_cell(text: str) -> object:
         return float(stripped)
 
 
-def parse_cell(text: str, ctype: ColumnType) -> object:
-    """Parse one cell according to its column type.
+def write_table_rows(handle: TextIO, schema: TableSchema, table: "Table") -> None:
+    """Write *table*'s rows (no header) to *handle* in the emit dialect.
 
-    Categorical cells are kept verbatim (including whitespace — categorical
-    values are opaque labels); numeric cells go through
-    :func:`coerce_numeric_cell`.
+    ``csv.writer`` defaults: ``\\r\\n`` terminators, minimal quoting, and
+    ``str()`` cell coercion, which for :class:`Interval` values produces
+    exactly the literal :func:`coerce_numeric_cell` parses back — the
+    round-trip contract the detection path relies on.
     """
-    if ctype is ColumnType.NUMERIC:
-        return coerce_numeric_cell(text)
-    return text
+    names = schema.column_names
+    columns = table.column_sequences(names)
+    csv.writer(handle).writerows(zip(*(columns[name] for name in names)))
 
 
-def parse_row(raw: Mapping[str, str], schema: TableSchema) -> dict[str, object]:
-    """Parse a ``csv.DictReader`` row against *schema* (cells coerced by type)."""
-    row: dict[str, object] = {}
-    for column in schema:
-        try:
-            text = raw[column.name]
-        except KeyError:
-            raise ValueError(f"CSV row is missing column {column.name!r}") from None
-        row[column.name] = parse_cell(str(text), column.ctype)
-    return row
+def render_csv_rows(schema: TableSchema, table: "Table") -> str:
+    """*table*'s rows rendered exactly as :func:`write_table_rows` emits them.
 
-
-def iter_csv_rows(path: str, schema: TableSchema) -> Iterator[dict[str, object]]:
-    """Stream parsed rows from a CSV file, one dict at a time.
-
-    Constant-memory: rows are yielded as they are read, never collected.  The
-    file must carry a header naming at least the schema's columns (extra
-    columns are ignored, matching ``csv.DictReader`` semantics).
+    The source of the emit dialect for code that serialises away from the
+    output file: protect pool workers render their chunk with this, and the
+    streaming writer splices the text verbatim.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        for raw in csv.DictReader(handle):
-            yield parse_row(raw, schema)
-
-
-def write_csv_rows(path: str, schema: TableSchema, rows: Iterable[Mapping[str, object]]) -> int:
-    """Stream *rows* to a CSV file with a header; return the number written.
-
-    Cells are serialised with ``str()``, which for :class:`Interval` values
-    produces exactly the literal :func:`coerce_numeric_cell` parses back —
-    the round-trip contract the detection path relies on.
-    """
-    count = 0
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=schema.column_names)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({name: row[name] for name in schema.column_names})
-            count += 1
-    return count
+    buffer = io.StringIO()
+    write_table_rows(buffer, schema, table)
+    return buffer.getvalue()

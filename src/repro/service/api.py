@@ -18,7 +18,9 @@ litigate.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Mapping
 
 from repro.binning.binner import BinnedTable
@@ -28,13 +30,12 @@ from repro.framework.pipeline import ProtectionFramework
 from repro.metrics.information_loss import table_information_loss
 from repro.metrics.usage_metrics import UsageMetrics
 from repro.ontology.registry import standard_ontology
-from repro.relational.columnar import ColumnarTable
 from repro.relational.schema import TableSchema, medical_schema
 from repro.relational.table import Table
 from repro.service.executor import ShardExecutor
 from repro.service.runners import ProtectPlan, ShardRunner, WatermarkerSpec
 from repro.service.store import ClaimStore
-from repro.service.streaming import DEFAULT_CHUNK_SIZE, iter_rows
+from repro.service.streaming import DEFAULT_CHUNK_SIZE, iter_tables
 from repro.service.vault import DatasetRecord, KeyVault, TenantRecord, VaultError
 from repro.telemetry.trace import span as _stage_span
 from repro.watermarking.hierarchical import DetectionReport
@@ -315,24 +316,30 @@ class ProtectionService:
         if not identifying:
             raise ValueError("the schema must have at least one identifying column")
 
-        # Pass 1 — global aggregates, constant memory.
+        # Pass 1 — global aggregates, constant memory, one chunk at a time.
         leaf_counts = {
             column: {leaf: 0 for leaf in self._trees[column].leaves()} for column in quasi
         }
-        trees = {column: self._trees[column] for column in quasi}
         ident_sum = 0.0
         ident_count = 0
         rows = 0
         with _stage_span("protect.pass1") as pass1_scope:
-            for row in iter_rows(input_csv, schema):
-                rows += 1
-                for column in identifying:
-                    text = str(row[column])
+            for chunk in iter_tables(input_csv, schema, chunk_size):
+                rows += len(chunk)
+                cells = chunk.column_sequences(identifying + quasi)
+                # Row-major across the identifying columns, in file order:
+                # the float sum's order — and with it the registered
+                # statistic's bits — is the order the rows are read in.
+                for value in chain.from_iterable(zip(*(cells[column] for column in identifying))):
+                    text = str(value)
                     if text.isdigit():
                         ident_sum += float(int(text))
                         ident_count += 1
                 for column in quasi:
-                    leaf_counts[column][trees[column].leaf_for_raw(row[column])] += 1
+                    leaf_for_raw = self._trees[column].leaf_for_raw
+                    counts = leaf_counts[column]
+                    for value, count in Counter(cells[column]).items():
+                        counts[leaf_for_raw(value)] += count
             pass1_scope.set(rows=rows)
         if ident_count == 0:
             raise ValueError("no numeric identifiers: cannot compute the ownership statistic")
@@ -587,7 +594,7 @@ class ProtectionService:
         claims = self._claims.claims(dataset_id) + list(extra_claims)
         if not claims:
             raise VaultError(f"no claims stored for dataset {dataset_id!r}")
-        table = ColumnarTable.from_csv(disputed_csv, self._schema)
+        table = Table.from_csv(disputed_csv, self._schema)
         binned = suspect_view(
             table, self._trees, self._schema, k=record.k, metrics_depth=record.metrics_depth
         )

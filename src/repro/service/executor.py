@@ -104,7 +104,7 @@ def shard_spans(n_rows: int, shards: int) -> list[tuple[int, int]]:
 
 
 def shard_binned(binned: BinnedTable, shards: int) -> list[BinnedTable]:
-    """Contiguous row shards of *binned* sharing row dicts and metadata."""
+    """Contiguous row shards of *binned* sharing its metadata."""
     return [binned.slice(start, stop) for start, stop in shard_spans(len(binned.table), shards)]
 
 
@@ -288,9 +288,7 @@ class ShardExecutor:
         with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
             reports = list(pool.map(lambda piece: watermarker.embed(piece, mark), pieces))
 
-        # Preserve the input's substrate: a columnar table merges shard rows
-        # back into columns, a row store shares the shard row dicts as before.
-        merged_table = type(binned.table).from_validated_rows(
+        merged_table = Table.from_validated_rows(
             binned.table.schema,
             (row for report in reports for row in report.watermarked.table.rows),
         )

@@ -55,7 +55,7 @@ import sys
 import threading
 import time
 import traceback
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NoReturn
 from urllib.parse import unquote
 
 __all__ = [
@@ -105,6 +105,10 @@ _MAX_HEADERS = 200
 _BLOCK = 65536
 
 _DIGITS = re.compile(r"[0-9]+")
+
+#: A chunk-size line (RFC 9112 §7.1): hex digits — at most 16, so the size
+#: fits 64 bits — optionally followed by a chunk extension.
+_CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]{1,16})(?:;[^\r\n]*)?\r?\n")
 
 #: Routes exempt from rate limiting even when a bearer token is presented
 #: (liveness and scraping must keep answering while a tenant is throttled).
@@ -174,6 +178,7 @@ class _EmptyBody:
     """``wsgi.input`` for a bodiless request."""
 
     complete = True
+    framing_error = None
 
     def read(self, size: int = -1) -> bytes:  # noqa: ARG002 - stream protocol
         return b""
@@ -189,6 +194,8 @@ class _KnownLengthBody:
     (``wsgi.input_terminated``) and the bytes that follow — the next pipelined
     request — stay untouched.
     """
+
+    framing_error = None
 
     def __init__(self, fp, length: int) -> None:
         self._fp = fp
@@ -231,6 +238,10 @@ class _ChunkedBody:
     sees only payload bytes with a real EOF.  Decoding server-side is also
     what makes keep-alive exact — the reader knows precisely where the body
     ends, so the connection is positioned at the next request line.
+
+    A chunk-size line that is not plain hex digits (no sign, ``0x`` prefix
+    or whitespace; at most 16 digits) sets :attr:`framing_error`, and the
+    server answers 400 in place of the app's response.
     """
 
     def __init__(self, fp) -> None:
@@ -238,21 +249,25 @@ class _ChunkedBody:
         self._remaining = 0
         self._complete = False
         self._broken = False
+        self.framing_error: str | None = None
 
     @property
     def complete(self) -> bool:
         return self._complete
 
+    def _fail(self, message: str) -> NoReturn:
+        self._broken = True
+        self.framing_error = message
+        raise ValueError(message)
+
     def _begin_chunk(self) -> None:
         size_line = self._fp.readline(_MAX_LINE + 1)
         if not size_line or len(size_line) > _MAX_LINE:
-            self._broken = True
-            raise ValueError("truncated chunked body (missing chunk size)")
-        try:
-            size = int(size_line.split(b";", 1)[0].strip() or b"0", 16)
-        except ValueError:
-            self._broken = True
-            raise ValueError("malformed chunked body (bad chunk size)") from None
+            self._fail("truncated chunked body (missing chunk size)")
+        match = _CHUNK_SIZE_LINE.fullmatch(size_line)
+        if match is None:
+            self._fail(f"malformed chunked body (bad chunk size {size_line[:40]!r})")
+        size = int(match.group(1), 16)
         if size == 0:
             while True:  # consume trailers up to the final blank line
                 trailer = self._fp.readline(_MAX_LINE + 1)
@@ -278,8 +293,7 @@ class _ChunkedBody:
                 return b""
         block = self._fp.read(min(size, self._remaining))
         if not block:
-            self._broken = True
-            raise ValueError("truncated chunked body (short chunk)")
+            self._fail("truncated chunked body (short chunk)")
         self._remaining -= len(block)
         if self._remaining == 0:
             self._fp.readline(_MAX_LINE)  # the CRLF closing this chunk
@@ -609,10 +623,15 @@ class HTTPWorker:
                 _check_framing(headers)
                 return _Request(method.upper(), target, version, headers)
             text = raw.decode("latin-1").rstrip("\r\n")
+            if text[:1] in (" ", "\t"):
+                # obs-fold (RFC 9112 §5.2): a continuation of the previous
+                # field that another parser could read as a field of its own.
+                raise _ProtocolError(400, f"obsolete line folding in header {text[:80]!r}")
             name, sep, value = text.partition(":")
-            if not sep or not name.strip():
+            if not sep or not name or name != name.rstrip():
+                # Whitespace before the colon is refused (RFC 9112 §5.1).
                 raise _ProtocolError(400, f"malformed header line {text[:80]!r}")
-            key = name.strip().lower()
+            key = name.lower()
             value = value.strip()
             headers[key] = f"{headers[key]},{value}" if key in headers else value
         raise _ProtocolError(400, f"too many request headers (max {_MAX_HEADERS})")
@@ -660,6 +679,9 @@ class HTTPWorker:
         try:
             result = self._app(environ, start_response)
         except Exception:  # noqa: BLE001 - the app answers 500s itself; this is a server bug
+            if body.framing_error is not None:
+                _write_simple_response(conn, 400, body.framing_error)
+                return False
             if self._verbose:
                 traceback.print_exc()
             _write_simple_response(conn, 500, "internal server error")
@@ -678,6 +700,14 @@ class HTTPWorker:
             keep_alive = False
         if keep_alive and not body.complete:
             keep_alive = body.drain(DRAIN_CAP_BYTES)
+        if body.framing_error is not None:
+            # The body was not what its framing promised: whatever the app
+            # made of it, answer 400 and close.
+            close = getattr(result, "close", None)
+            if close is not None:
+                close()
+            _write_simple_response(conn, 400, body.framing_error)
+            return False
 
         try:
             sent = self._write_response(

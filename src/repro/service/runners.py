@@ -61,7 +61,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from repro.binning.binner import BinnedTable, rewrite_table
 from repro.binning.generalization import Generalization, MultiColumnGeneralization
 from repro.crypto.cipher import FieldEncryptor
-from repro.relational.columnar import ColumnarTable
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 from repro.service.streaming import (
@@ -204,16 +203,16 @@ def collect_raw_chunk(
 ) -> tuple[int, DetectionVotes]:
     """Process-pool task: parse one raw CSV chunk and collect its votes.
 
-    The chunk parses straight into a columnar table
-    (:meth:`~repro.relational.columnar.ColumnarTable.from_csv_chunk`), whose
-    parse plan mirrors ``csv.DictReader`` + ``parse_row`` cell for cell — a
-    worker sees exactly what the in-process reader would have produced, and
-    vote collection runs on the per-column fast path.  Returns
+    The chunk parses straight into column buffers
+    (:meth:`~repro.relational.table.Table.from_csv_chunk`, the same
+    :class:`~repro.relational.table.CsvParsePlan` the in-process reader
+    uses), so a worker sees exactly what that reader would have produced.
+    Returns
     ``(row_count, votes)``: the caller needs the count for the detection
     report and must not re-scan the chunk.
     """
     with _stage_span("detect.parse", lines=len(lines)):
-        table = ColumnarTable.from_csv_chunk(schema, header, lines)
+        table = Table.from_csv_chunk(schema, header, lines)
     with _stage_span("detect.frame", rows=len(table)):
         binned = BinnedTable(table=table, **metadata)
     return len(table), _worker_watermarker(spec).collect_votes(binned, mark_length)
@@ -296,7 +295,7 @@ def protect_raw_chunk(plan: ProtectPlan, header: str, lines: list[str]) -> Prote
     """Pool task: rewrite + embed + serialise one raw CSV chunk of a protect.
 
     Every stage reuses the serial path's own code rather than mirroring it —
-    the columnar chunk ingest of :func:`collect_raw_chunk`, the shared
+    the chunk ingest of :func:`collect_raw_chunk`, the shared
     :func:`repro.binning.binner.rewrite_table` (over an ultimate
     generalization rebuilt from the metadata's trees + node names, with the
     identifying column batch-encrypted in one sweep), one
@@ -320,7 +319,7 @@ def protect_raw_chunk(plan: ProtectPlan, header: str, lines: list[str]) -> Prote
     )
 
     with _stage_span("protect.parse", lines=len(lines)):
-        parsed = ColumnarTable.from_csv_chunk(schema, header, lines)
+        parsed = Table.from_csv_chunk(schema, header, lines)
     table = rewrite_table(parsed, schema, encryptor, ultimate)
     binned = BinnedTable(table=table, identifying_columns=plan.identifying_columns, **metadata)
     embedding = _worker_watermarker(plan.spec).embed(binned, Mark.from_string(plan.mark_bits))

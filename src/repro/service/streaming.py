@@ -1,9 +1,10 @@
 """Chunked CSV ingest and emit: million-row files without million-row tables.
 
-The readers wrap :mod:`repro.relational.io` (the single source of truth for
-cell parsing, including the ``[lower,upper)`` interval round trip) and add
-chunking: :func:`iter_tables` yields successive :class:`Table` objects of at
-most ``chunk_size`` rows, so downstream per-row work — binning's rewrite,
+The readers add chunking to the one CSV reader,
+:class:`~repro.relational.table.CsvParsePlan` (the single source of truth
+for cell parsing, including the ``[lower,upper)`` interval round trip):
+:func:`iter_tables` yields successive :class:`Table` objects of at most
+``chunk_size`` rows, so downstream per-column work — binning's rewrite,
 embedding, vote collection — touches one bounded chunk at a time.  The
 :class:`RowWriter` is the emit-side counterpart: an incrementally fed CSV
 writer that the two-pass streaming protect keeps open across chunks.
@@ -17,13 +18,11 @@ needs one.
 from __future__ import annotations
 
 import csv
-import io
 from typing import Iterable, Iterator, Mapping
 
-from repro.relational.columnar import ColumnarTable, CsvParsePlan
-from repro.relational.io import iter_csv_rows, write_csv_rows
+from repro.relational.io import render_csv_rows
 from repro.relational.schema import TableSchema
-from repro.relational.table import Row, Table
+from repro.relational.table import CsvParsePlan, Row, Table
 from repro.telemetry.trace import span as _stage_span
 
 __all__ = [
@@ -44,8 +43,12 @@ SPOOL_CHUNK_BYTES = 64 * 1024
 
 
 def iter_rows(path: str, schema: TableSchema) -> Iterator[Row]:
-    """Stream schema-parsed rows from *path*, one dict at a time."""
-    return iter_csv_rows(path, schema)
+    """Stream schema-parsed rows from *path*, one plain dict at a time."""
+    names = schema.column_names
+    for chunk in iter_tables(path, schema):
+        columns = chunk.column_sequences(names)
+        for values in zip(*(columns[name] for name in names)):
+            yield dict(zip(names, values))
 
 
 def iter_tables(path: str, schema: TableSchema, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[Table]:
@@ -54,13 +57,8 @@ def iter_tables(path: str, schema: TableSchema, chunk_size: int = DEFAULT_CHUNK_
     Chunk boundaries are invisible to the protection pipeline: binning's
     rewrite, mark embedding and vote collection are all per-row computations,
     so processing chunk tables in file order is exactly equivalent to
-    processing one full table.
-
-    Chunks are :class:`~repro.relational.columnar.ColumnarTable` objects: the
-    cells go straight from the CSV reader into typed column buffers (same
-    parse semantics as ``csv.DictReader`` + ``parse_row``, asserted by the
-    columnar equivalence suite), and every downstream per-row computation
-    runs on its per-column fast path.
+    processing one full table.  The cells go straight from the CSV reader
+    into each chunk's typed column buffers.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
@@ -71,7 +69,7 @@ def iter_tables(path: str, schema: TableSchema, chunk_size: int = DEFAULT_CHUNK_
             return
         plan = CsvParsePlan(fieldnames, schema)
         while True:
-            chunk = ColumnarTable(schema)
+            chunk = Table(schema)
             parsed = plan.extend_table(chunk, reader, limit=chunk_size)
             if parsed:
                 yield chunk
@@ -86,9 +84,9 @@ def iter_raw_chunks(
 
     The unparsed counterpart of :func:`iter_tables`, for runners that move
     parsing off the ingest thread: the main process only reads lines (cheap
-    I/O), each worker runs ``csv.DictReader`` over its own chunk — prefixed
-    with the shared header so field mapping is identical to reading the file
-    — and parses with the same :mod:`repro.relational.io` machinery.
+    I/O), each worker parses its own chunk with
+    :meth:`~repro.relational.table.Table.from_csv_chunk` — prefixed with the
+    shared header so field mapping is identical to reading the file.
 
     Chunk boundaries land only where the quote parity is even: a suspect CSV
     is attacker-supplied, and a quoted cell may legally contain a newline, so
@@ -142,34 +140,11 @@ def spool_stream(stream, path: str, *, max_bytes: int | None = None) -> int:
 
 
 def write_rows(path: str, schema: TableSchema, rows: Iterable[Mapping[str, object]]) -> int:
-    """Stream *rows* to a CSV at *path*; returns the number written."""
-    return write_csv_rows(path, schema, rows)
-
-
-def render_csv_rows(schema: TableSchema, rows: Iterable[Mapping[str, object]]) -> str:
-    """*rows* rendered exactly as :class:`RowWriter` emits them (no header).
-
-    The single source of the emit dialect for code that serialises away from
-    the output file — protect pool workers render their chunk with this, the
-    executor splices the text through :meth:`RowWriter.write_text`, and
-    :meth:`RowWriter.write_table` itself goes through here, so the three can
-    never drift apart byte-wise.
-    """
-    names = schema.column_names
-    buffer = io.StringIO()
-    if isinstance(rows, Table):
-        columns = rows.column_sequences(names)
-        if columns is not None:
-            # Columnar fast path: one positional writerows over zipped column
-            # buffers.  ``csv.DictWriter.writerow`` reduces to exactly this
-            # positional write for dicts with the exact fieldnames, so the
-            # bytes are identical to the dict path below.
-            csv.writer(buffer).writerows(zip(*(columns[name] for name in names)))
-            return buffer.getvalue()
-    writer = csv.DictWriter(buffer, fieldnames=names)
-    for row in rows:
-        writer.writerow({name: row[name] for name in names})
-    return buffer.getvalue()
+    """Stream *rows* to a CSV at *path* through :class:`RowWriter`; returns the number written."""
+    with RowWriter(path, schema) as writer:
+        for row in rows:
+            writer.write_row(row)
+    return writer.rows_written
 
 
 class RowWriter:
@@ -193,12 +168,12 @@ class RowWriter:
 
     def __enter__(self) -> "RowWriter":
         self._handle = open(self._path, "w", newline="", encoding="utf-8")
-        self._writer = csv.DictWriter(self._handle, fieldnames=self._schema.column_names)
-        self._writer.writeheader()
+        self._writer = csv.writer(self._handle)
+        self._writer.writerow(self._schema.column_names)
         return self
 
     def write_row(self, row: Mapping[str, object]) -> None:
-        self._writer.writerow({name: row[name] for name in self._schema.column_names})
+        self._writer.writerow([row[name] for name in self._schema.column_names])
         self._rows_written += 1
 
     def write_table(self, table: Table) -> None:

@@ -200,7 +200,7 @@ def table_to_csv_lines(table: Table) -> tuple[str, list[str]]:
 
     Cells serialise exactly like :class:`~repro.service.streaming.RowWriter`
     (the csv module's ``str()`` coercion, ``\\r\\n`` terminators), so a worker
-    parsing the lines with the shared :mod:`repro.relational.io` machinery
+    parsing the lines with :meth:`~repro.relational.table.Table.from_csv_chunk`
     reads back cell for cell what the in-memory table holds — provided the
     values round-trip their CSV text forms, which every table that was ever
     read from or written to a CSV does by construction.
@@ -217,10 +217,5 @@ def table_to_csv_lines(table: Table) -> tuple[str, list[str]]:
 
     header = emit(names)
     columns = table.column_sequences(names)
-    if columns is not None:
-        # Columnar fast path: zip the column buffers instead of materialising
-        # a row view per line; the written values are identical.
-        lines = [emit(values) for values in zip(*(columns[name] for name in names))]
-    else:
-        lines = [emit([row[name] for name in names]) for row in table]
+    lines = [emit(values) for values in zip(*(columns[name] for name in names))]
     return header, lines

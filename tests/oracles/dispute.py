@@ -3,7 +3,9 @@
 This is the claim assessment as it was before the batched sweep: rows are
 read from the table one by one, each identifying cell is decrypted with the
 scalar :meth:`FieldEncryptor.decrypt`, every token is tried even after one
-fails, and suspect CSVs are loaded through the row store.  The batched
+fails, the mark is read back with the row-dict vote loop, and suspect CSVs
+are loaded through the row store's ``DictReader`` reader
+(:mod:`oracles.row_store`).  The batched
 :meth:`OwnershipRegistry.assess_claim` and :meth:`ProtectionService.dispute`
 must agree with it field for field.
 """
@@ -12,11 +14,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from oracles import row_store
 from repro.binning.binner import BinnedTable
 from repro.crypto.cipher import FieldEncryptor
-from repro.relational.table import Table
 from repro.service.api import ProtectionService, suspect_view
-from repro.service.streaming import iter_rows
 from repro.watermarking.hierarchical import HierarchicalWatermarker
 from repro.watermarking.mark import Mark
 from repro.watermarking.ownership import (
@@ -58,7 +59,7 @@ def assess_claim(
     watermarker = HierarchicalWatermarker(
         claim.watermark_key, columns=claim.columns, copies=claim.copies, code=claim.code
     )
-    detected = watermarker.detect(disputed, registry.mark_length)
+    detected = row_store.detect(watermarker, disputed, registry.mark_length)
     bit_errors = detected.mark.hamming_distance(expected)
     mark_matches = bit_errors <= registry._max_bit_errors and claim.mark.bits == expected.bits
 
@@ -85,7 +86,7 @@ def service_dispute(
     """:meth:`ProtectionService.dispute` over a row-store load, without the audit record."""
     record = service.vault.tenant(tenant_id)
     registry = service.framework_for(tenant_id).registry
-    table = Table(service.schema, iter_rows(disputed_csv, service.schema))
+    table = row_store.Table.from_csv(disputed_csv, service.schema)
     binned = suspect_view(
         table, service.trees, service.schema, k=record.k, metrics_depth=record.metrics_depth
     )

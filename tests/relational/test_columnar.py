@@ -1,32 +1,30 @@
-"""Columnar substrate equivalence: row-store vs columnar, bit for bit.
+"""The column store against the row-store reference, bit for bit.
 
-The columnar :class:`ColumnarTable` must be a drop-in for the row store at
-every layer — same Table API semantics, same CoW isolation, same CSV parse
-and emit bytes, and identical protect / detect / attack results.  This suite
-runs both substrates side by side, mirroring the PR 1 golden equivalence
-pattern (``tests/watermarking/test_batch_equivalence.py``).
+:class:`Table` stores cells by column; ``tests/oracles/row_store.py`` keeps
+the row-dict table, the ``DictReader`` / ``DictWriter`` CSV path, the
+row-wise binning rewrite and the row-dict vote loop it replaced.  The two
+must agree at every layer — same Table API semantics, same CoW isolation,
+same CSV parse and emit bytes, and identical protect / detect / attack
+results — mirroring the golden equivalence pattern of
+``tests/watermarking/test_batch_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
 import pickle
 
 import pytest
+
+from oracles import row_store
 
 from repro.attacks.addition import SubsetAdditionAttack
 from repro.attacks.alteration import SubsetAlterationAttack
 from repro.attacks.deletion import DeletionMode, SubsetDeletionAttack
 from repro.attacks.generalization_attack import GeneralizationAttack
-from repro.binning.binner import BinnedTable, BinningAgent, rewrite_rows, rewrite_table
-from repro.binning.kanonymity import EnforcementMode, KAnonymitySpec
+from repro.binning.binner import BinnedTable, rewrite_table
 from repro.crypto.cipher import FieldEncryptor
-from repro.relational.columnar import ColumnarTable, TypedColumn
-from repro.relational.io import parse_row
 from repro.relational.schema import Column, ColumnKind, ColumnType, TableSchema
-from repro.relational.table import Table
+from repro.relational.table import Table, TypedColumn
 from repro.service.executor import ShardExecutor
 from repro.service.runners import (
     ProtectPlan,
@@ -46,10 +44,6 @@ ENCRYPTION_KEY = "test-encryption-key"
 
 
 # --------------------------------------------------------------------- helpers
-def _as_columnar(table: Table) -> ColumnarTable:
-    return ColumnarTable(table.schema, table.rows)
-
-
 def _detection_equal(left, right):
     assert left.mark.bits == right.mark.bits
     assert left.wmd_bits == right.wmd_bits
@@ -88,15 +82,18 @@ def _binned_metadata(binned: BinnedTable) -> dict:
 
 # -------------------------------------------------------------------- fixtures
 @pytest.fixture(scope="module")
-def binned_columnar(trees, depth1_metrics, medium_table):
-    """``binned_small``'s twin, binned from a columnar copy of the same table."""
-    agent = BinningAgent(
-        trees,
-        depth1_metrics,
-        KAnonymitySpec(k=10, mode=EnforcementMode.MONO),
-        ENCRYPTION_KEY,
+def binned_rows(binned_small, medium_table):
+    """``binned_small``'s twin: the same frontiers, rewritten row by row into a row store."""
+    binned = binned_small.binned
+    table = row_store.rewrite_table(
+        row_store.Table(medium_table.schema, medium_table),
+        medium_table.schema,
+        FieldEncryptor(ENCRYPTION_KEY),
+        binned.ultimate_generalizations(),
     )
-    return agent.bin(_as_columnar(medium_table))
+    return row_store.RowBinnedTable(
+        table=table, identifying_columns=binned.identifying_columns, **_binned_metadata(binned)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +125,7 @@ def rows():
 
 @pytest.fixture()
 def pair(schema, rows):
-    return Table(schema, rows), ColumnarTable(schema, rows)
+    return row_store.Table(schema, rows), Table(schema, rows)
 
 
 # ----------------------------------------------------------------- typed store
@@ -310,17 +307,21 @@ class TestCsvEquivalence:
     def _roundtrip(self, text: str, schema: TableSchema, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text(text)
-        return Table.from_csv(str(path), schema), ColumnarTable.from_csv(str(path), schema)
+        return row_store.Table.from_csv(str(path), schema), Table.from_csv(str(path), schema)
 
     def test_roundtrip_matches_row_store(self, pair, tmp_path):
-        row_table, _ = pair
+        row_table, col_table = pair
         path = tmp_path / "roundtrip.csv"
         row_table.to_csv(str(path))
-        row_back = Table.from_csv(str(path), row_table.schema)
-        col_back = ColumnarTable.from_csv(str(path), row_table.schema)
+        row_back = row_store.Table.from_csv(str(path), row_table.schema)
+        col_back = Table.from_csv(str(path), row_table.schema)
         assert row_back == col_back == row_table
         # Exact cell types survive: ints stay int through the typed column.
         assert all(type(value) is int for value in col_back.column_values("age"))
+        # Both writers emit the same bytes.
+        col_path = tmp_path / "columnar.csv"
+        col_table.to_csv(str(col_path))
+        assert col_path.read_bytes() == path.read_bytes()
 
     def test_numeric_coercion_matches(self, schema, tmp_path):
         text = 'id,ward,age\na,T,1e5\nb,T,-2.0\nc,T,37\nd,T,"[25,30)"\n'
@@ -359,9 +360,9 @@ class TestCsvEquivalence:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match="missing column 'age'"):
-            Table.from_csv(str(path), schema)
+            row_store.Table.from_csv(str(path), schema)
         with pytest.raises(ValueError, match="missing column 'age'"):
-            ColumnarTable.from_csv(str(path), schema)
+            Table.from_csv(str(path), schema)
 
     def test_quoted_newlines_in_cells(self, schema, tmp_path):
         text = 'id,ward,age\na,"Trauma\nUnit",30\n'
@@ -370,12 +371,10 @@ class TestCsvEquivalence:
         assert col_table[0]["ward"] == "Trauma\nUnit"
 
     def test_chunk_parse_matches_dictreader(self, pair):
-        row_table, _ = pair
-        header, lines = table_to_csv_lines(row_table)
-        chunk = ColumnarTable.from_csv_chunk(row_table.schema, header, lines)
-        reference = Table(row_table.schema)
-        for raw in csv.DictReader(itertools.chain([header], lines)):
-            reference.insert(parse_row(raw, row_table.schema))
+        row_table, col_table = pair
+        header, lines = table_to_csv_lines(col_table)
+        chunk = Table.from_csv_chunk(col_table.schema, header, lines)
+        reference = row_store.read_csv_chunk(col_table.schema, header, lines)
         assert chunk == reference == row_table
 
     def test_iter_tables_yields_columnar_chunks(self, pair, tmp_path):
@@ -384,61 +383,57 @@ class TestCsvEquivalence:
         row_table.to_csv(str(path))
         chunks = list(iter_tables(str(path), row_table.schema, chunk_size=4))
         assert [len(chunk) for chunk in chunks] == [4, 4, 2]
-        assert all(isinstance(chunk, ColumnarTable) for chunk in chunks)
+        assert all(isinstance(chunk, Table) for chunk in chunks)
         merged = [dict(row.items()) for chunk in chunks for row in chunk]
         assert merged == row_table.rows
 
     def test_render_csv_rows_byte_identical(self, pair):
         row_table, col_table = pair
-        assert render_csv_rows(row_table.schema, row_table) == render_csv_rows(
+        assert row_store.render_csv_rows(row_table.schema, row_table) == render_csv_rows(
             col_table.schema, col_table
         )
 
     def test_table_to_csv_lines_byte_identical(self, pair):
         row_table, col_table = pair
-        assert table_to_csv_lines(row_table) == table_to_csv_lines(col_table)
+        header, lines = table_to_csv_lines(col_table)
+        assert header == ",".join(row_table.schema.column_names) + "\r\n"
+        assert lines == [
+            row_store.render_csv_rows(row_table.schema, [row]) for row in row_table
+        ]
 
 
 # ------------------------------------------------------- golden protect/detect
 class TestGoldenSubstrateEquivalence:
-    """The PR 1 golden pattern, across substrates instead of across engines."""
+    """The golden pattern, column store against the row-store reference."""
 
-    def test_binning_is_bit_identical(self, binned_small, binned_columnar):
-        assert isinstance(binned_columnar.binned.table, ColumnarTable)
-        assert binned_small.binned.table == binned_columnar.binned.table
-        assert binned_small.binned.ultimate_nodes == binned_columnar.binned.ultimate_nodes
-        assert binned_small.binned.maximal_nodes == binned_columnar.binned.maximal_nodes
-        assert binned_small.binned.minimal_nodes == binned_columnar.binned.minimal_nodes
-        assert binned_small.information_losses == binned_columnar.information_losses
-        assert (
-            binned_small.normalized_information_loss
-            == binned_columnar.normalized_information_loss
-        )
+    def test_binning_is_bit_identical(self, binned_small, binned_rows):
+        assert isinstance(binned_small.binned.table, Table)
+        assert binned_small.binned.table == binned_rows.table
 
-    def test_ident_values_equal(self, binned_small, binned_columnar):
-        assert binned_small.binned.ident_values() == binned_columnar.binned.ident_values()
+    def test_ident_values_equal(self, binned_small, binned_rows):
+        assert binned_small.binned.ident_values() == row_store.ident_values(binned_rows)
 
-    def test_embed_is_bit_identical(self, binned_small, binned_columnar, watermarkers):
+    def test_embed_is_bit_identical(self, binned_small, binned_rows, watermarkers):
         row_wm, col_wm = watermarkers
         _embedding_equal(
-            row_wm.embed(binned_small.binned, MARK),
-            col_wm.embed(binned_columnar.binned, MARK),
+            row_wm.embed(binned_rows, MARK),
+            col_wm.embed(binned_small.binned, MARK),
         )
 
-    def test_embedding_leaves_the_source_untouched(self, binned_columnar, watermarkers):
+    def test_embedding_leaves_the_source_untouched(self, binned_small, watermarkers):
         _, col_wm = watermarkers
-        before = binned_columnar.binned.table.copy()
-        embedding = col_wm.embed(binned_columnar.binned, MARK)
-        assert binned_columnar.binned.table == before
+        before = binned_small.binned.table.copy()
+        embedding = col_wm.embed(binned_small.binned, MARK)
+        assert binned_small.binned.table == before
         embedding.watermarked.table.mutable_row(0)["symptom"] = "poisoned"
-        assert binned_columnar.binned.table == before
+        assert binned_small.binned.table == before
 
-    def test_clean_detection_is_bit_identical(self, binned_small, binned_columnar, watermarkers):
+    def test_clean_detection_is_bit_identical(self, binned_small, binned_rows, watermarkers):
         row_wm, col_wm = watermarkers
-        row_marked = row_wm.embed(binned_small.binned, MARK).watermarked
-        col_marked = col_wm.embed(binned_columnar.binned, MARK).watermarked
+        row_marked = row_wm.embed(binned_rows, MARK).watermarked
+        col_marked = col_wm.embed(binned_small.binned, MARK).watermarked
         _detection_equal(
-            row_wm.detect(row_marked, len(MARK)),
+            row_store.detect(row_wm, row_marked, len(MARK)),
             col_wm.detect(col_marked, len(MARK)),
         )
 
@@ -454,38 +449,35 @@ class TestGoldenSubstrateEquivalence:
         ids=["alteration", "addition", "deletion-random", "deletion-ranges", "generalization"],
     )
     def test_attacks_and_detection_after_attack(
-        self, binned_small, binned_columnar, watermarkers, attack
+        self, binned_small, binned_rows, watermarkers, attack
     ):
         row_wm, col_wm = watermarkers
-        row_marked = row_wm.embed(binned_small.binned, MARK).watermarked
-        col_marked = col_wm.embed(binned_columnar.binned, MARK).watermarked
+        row_marked = row_wm.embed(binned_rows, MARK).watermarked
+        col_marked = col_wm.embed(binned_small.binned, MARK).watermarked
         row_result = attack.run(row_marked)
         col_result = attack.run(col_marked)
         assert row_result.rows_touched == col_result.rows_touched
         assert row_result.details == col_result.details
         assert row_result.attacked.table == col_result.attacked.table
         _detection_equal(
-            row_wm.detect(row_result.attacked, len(MARK)),
+            row_store.detect(row_wm, row_result.attacked, len(MARK)),
             col_wm.detect(col_result.attacked, len(MARK)),
         )
 
-    def test_runner_detects_are_bit_identical_across_substrates(
-        self, binned_small, binned_columnar, watermarkers
-    ):
-        """Serial, thread and process runners agree on both substrates."""
+    def test_runner_detects_are_bit_identical_across_substrates(self, binned_small, binned_rows, watermarkers):
+        """Thread and process runners agree with the row-store serial detect."""
         row_wm, col_wm = watermarkers
-        row_marked = row_wm.embed(binned_small.binned, MARK).watermarked
-        col_marked = col_wm.embed(binned_columnar.binned, MARK).watermarked
-        serial = row_wm.detect(row_marked, len(MARK))
+        row_marked = row_wm.embed(binned_rows, MARK).watermarked
+        col_marked = col_wm.embed(binned_small.binned, MARK).watermarked
+        serial = row_store.detect(row_wm, row_marked, len(MARK))
         for runner in ("thread", "process"):
             executor = ShardExecutor(2, runner=runner)
             _detection_equal(serial, executor.detect(col_wm, col_marked, len(MARK), shards=3))
-            _detection_equal(serial, executor.detect(row_wm, row_marked, len(MARK), shards=3))
 
 
 # ------------------------------------------------------------ runner raw chunks
 class TestRawChunkEquivalence:
-    """Worker-side chunk tasks: columnar ingest == the seed's dict ingest."""
+    """Worker-side chunk tasks against the row-store reference pipeline."""
 
     def test_collect_raw_chunk_votes_match_row_store(self, binned_small, watermarkers):
         row_wm, _ = watermarkers
@@ -497,11 +489,10 @@ class TestRawChunkEquivalence:
             spec, marked.table.schema, metadata, header, lines, len(MARK)
         )
         assert count == len(marked.table)
-        reference_table = Table(marked.table.schema)
-        for raw in csv.DictReader(itertools.chain([header], lines)):
-            reference_table.insert(parse_row(raw, marked.table.schema))
-        reference = BinnedTable(table=reference_table, **metadata)
-        _votes_equal(votes, row_wm.collect_votes(reference, len(MARK)))
+        reference = BinnedTable(
+            table=row_store.read_csv_chunk(marked.table.schema, header, lines), **metadata
+        )
+        _votes_equal(votes, row_store.collect_votes(row_wm, reference, len(MARK)))
 
     def test_protect_raw_chunk_bytes_match_row_store(
         self, binned_small, medium_table, watermarkers
@@ -521,17 +512,12 @@ class TestRawChunkEquivalence:
         )
         chunk = protect_raw_chunk(plan, header, lines)
 
-        # Reference: the seed's row-store pipeline over the same records.
+        # Reference: the row-store pipeline over the same records.
         encryptor = FieldEncryptor(ENCRYPTION_KEY)
         ultimate = binned.ultimate_generalizations()
-        parsed = (
-            parse_row(raw, medium_table.schema)
-            for raw in csv.DictReader(itertools.chain([header], lines))
-        )
-        reference_table = Table(medium_table.schema)
-        for new_row in rewrite_rows(parsed, medium_table.schema, encryptor, ultimate):
-            reference_table.insert(new_row)
-        reference_binned = BinnedTable(
+        parsed = row_store.read_csv_chunk(medium_table.schema, header, lines)
+        reference_table = row_store.rewrite_table(parsed, medium_table.schema, encryptor, ultimate)
+        reference_binned = row_store.RowBinnedTable(
             table=reference_table,
             identifying_columns=binned.identifying_columns,
             **metadata,
@@ -542,7 +528,9 @@ class TestRawChunkEquivalence:
         assert chunk.rows == len(reference_table)
         assert chunk.tuples_selected == embedding.tuples_selected
         assert chunk.cells_changed == embedding.cells_changed
-        assert chunk.text == render_csv_rows(medium_table.schema, embedding.watermarked.table)
+        assert chunk.text == row_store.render_csv_rows(
+            medium_table.schema, embedding.watermarked.table
+        )
 
 
 # ------------------------------------------------------------------ encryption
@@ -562,10 +550,13 @@ class TestEncryptManyEquivalence:
         binned = binned_small.binned
         encryptor = FieldEncryptor(ENCRYPTION_KEY)
         ultimate = binned.ultimate_generalizations()
-        row_rewritten = rewrite_table(medium_table, medium_table.schema, encryptor, ultimate)
-        col_rewritten = rewrite_table(
-            _as_columnar(medium_table), medium_table.schema, encryptor, ultimate
+        row_rewritten = row_store.rewrite_table(
+            row_store.Table(medium_table.schema, medium_table),
+            medium_table.schema,
+            encryptor,
+            ultimate,
         )
-        assert isinstance(row_rewritten, Table) and not isinstance(row_rewritten, ColumnarTable)
-        assert isinstance(col_rewritten, ColumnarTable)
+        col_rewritten = rewrite_table(medium_table, medium_table.schema, encryptor, ultimate)
+        assert isinstance(row_rewritten, row_store.Table)
+        assert isinstance(col_rewritten, Table)
         assert row_rewritten == col_rewritten == binned.table

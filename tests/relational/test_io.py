@@ -1,19 +1,14 @@
-"""Tests for the schema-aware CSV parsing layer (repro/relational/io.py)."""
+"""Tests for the CSV text forms of cells (repro/relational/io.py) and the reader."""
 
 import math
 
 import pytest
 
 from repro.dht.node import Interval
-from repro.relational.io import (
-    coerce_numeric_cell,
-    iter_csv_rows,
-    parse_cell,
-    parse_row,
-    write_csv_rows,
-)
+from repro.relational.io import coerce_numeric_cell, render_csv_rows
 from repro.relational.schema import Column, ColumnKind, ColumnType, TableSchema
 from repro.relational.table import Table
+from repro.service.streaming import iter_rows, write_rows
 
 
 @pytest.fixture()
@@ -65,13 +60,17 @@ class TestCellParsing:
     def test_numeric_interval_form(self):
         assert coerce_numeric_cell("[25,30)") == Interval(25.0, 30.0)
 
-    def test_categorical_kept_verbatim(self):
-        assert parse_cell("[25,30)", ColumnType.CATEGORICAL) == "[25,30)"
-        assert parse_cell("Cardiology", ColumnType.CATEGORICAL) == "Cardiology"
+    def test_categorical_kept_verbatim(self, schema, tmp_path):
+        path = tmp_path / "categorical.csv"
+        path.write_text('id,age,ward\n"[25,30)",1, Cardiology \n')
+        row = Table.from_csv(str(path), schema)[0]
+        assert row["id"] == "[25,30)" and row["ward"] == " Cardiology "
 
-    def test_parse_row_missing_column(self, schema):
+    def test_missing_column(self, schema, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("id,age\na,1\n")
         with pytest.raises(ValueError, match="missing column"):
-            parse_row({"id": "a", "age": "1"}, schema)
+            Table.from_csv(str(path), schema)
 
 
 class TestCsvRoundTrip:
@@ -82,9 +81,12 @@ class TestCsvRoundTrip:
             {"id": "c", "age": Interval(0.5, 1.25), "ward": "Oncology"},
         ]
         path = tmp_path / "mixed.csv"
-        assert write_csv_rows(str(path), schema, rows) == 3
-        back = list(iter_csv_rows(str(path), schema))
+        assert write_rows(str(path), schema, rows) == 3
+        back = list(iter_rows(str(path), schema))
         assert back == rows
+        assert render_csv_rows(schema, Table.from_csv(str(path), schema)) == (
+            'a,"[25,30)",Trauma\r\nb,41,Cardiology\r\nc,"[0.5,1.25)",Oncology\r\n'
+        )
 
     def test_table_from_csv_accepts_protected_intervals(self, schema, tmp_path):
         """The historical asymmetry: ``to_csv`` wrote intervals the reader rejected."""
@@ -95,14 +97,14 @@ class TestCsvRoundTrip:
         back = Table.from_csv(str(path), schema)
         assert back.rows == table.rows
 
-    def test_iter_csv_rows_is_lazy(self, schema, tmp_path):
+    def test_iter_rows_is_lazy(self, schema, tmp_path):
         path = tmp_path / "big.csv"
-        write_csv_rows(
+        write_rows(
             str(path),
             schema,
             ({"id": str(i), "age": i % 90, "ward": "Trauma"} for i in range(100)),
         )
-        iterator = iter_csv_rows(str(path), schema)
+        iterator = iter_rows(str(path), schema)
         first = next(iterator)
         assert first["id"] == "0" and first["age"] == 0
         assert sum(1 for _ in iterator) == 99

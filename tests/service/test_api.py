@@ -9,9 +9,9 @@ import pytest
 
 import repro
 from repro.datagen.medical import generate_medical_table
-from repro.relational.io import write_csv_rows
-from repro.relational.schema import medical_schema
+from repro.relational.schema import Column, ColumnKind, ColumnType, medical_schema
 from repro.service import KeyVault, ProtectionService
+from repro.service.streaming import write_rows
 from repro.service.vault import VaultError
 
 
@@ -64,6 +64,33 @@ class TestProtect:
         )
         service.protect("owner", raw_csv, other, chunk_size=999)
         assert filecmp.cmp(protected.output, other, shallow=False)
+
+    def test_registered_statistic_sums_identifiers_row_major(self, tmp_path):
+        """Pass 1 adds the identifying cells row by row, in file order, across chunks."""
+        schema = medical_schema().with_column(
+            Column("mrn", ColumnKind.IDENTIFYING, ColumnType.CATEGORICAL, "medical record number")
+        )
+        rows = [
+            {**dict(row.items()), "ssn": "1", "mrn": str(2**53) if index == 0 else "1"}
+            for index, row in enumerate(generate_medical_table(size=400, seed=43))
+        ]
+        raw = str(tmp_path / "two-identifiers.csv")
+        write_rows(raw, schema, rows)
+
+        row_major = 0.0
+        for row in rows:
+            for column in ("ssn", "mrn"):
+                row_major += float(int(row[column]))
+        column_major = 0.0
+        for column in ("ssn", "mrn"):
+            for row in rows:
+                column_major += float(int(row[column]))
+        assert row_major != column_major  # the input tells the two orders apart
+
+        service = ProtectionService(KeyVault.init(tmp_path / "vault"), schema=schema)
+        service.register_tenant("owner", k=5, eta=20, epsilon=5)
+        outcome = service.protect("owner", raw, str(tmp_path / "out.csv"), chunk_size=7)
+        assert outcome.registered_statistic == row_major / (2 * len(rows))
 
     def test_unknown_tenant_rejected(self, vault_dir, raw_csv, tmp_path):
         with pytest.raises(VaultError, match="unknown tenant"):
@@ -169,7 +196,7 @@ class TestStatusAndErrors:
         trees = standard_ontology()
         schema = medical_schema()
         bad = str(tmp_path / "bad.csv")
-        write_csv_rows(
+        write_rows(
             bad,
             schema,
             [

@@ -26,11 +26,11 @@ class TestShardSpans:
 
 
 class TestShardBinned:
-    def test_shards_share_rows_and_metadata(self, protected_small):
+    def test_shards_cover_rows_and_share_metadata(self, protected_small):
         binned = protected_small.watermarked
         pieces = shard_binned(binned, 4)
         assert sum(len(piece.table) for piece in pieces) == len(binned.table)
-        assert pieces[0].table.rows[0] is binned.table.rows[0]
+        assert [row for piece in pieces for row in piece.table] == binned.table.rows
         assert pieces[0].trees is binned.trees
         assert pieces[1].ultimate_nodes == binned.ultimate_nodes
 

@@ -217,10 +217,81 @@ class TestKeepAliveConformance:
         sock.close()
 
 
+def _echo_app(environ, start_response):
+    """Reads the body to EOF and answers 200 with the number of bytes read."""
+    payload = json.dumps({"read": len(environ["wsgi.input"].read())}).encode("utf-8")
+    start_response(
+        "200 OK",
+        [("Content-Type", "application/json"), ("Content-Length", str(len(payload)))],
+    )
+    return [payload]
+
+
+@pytest.fixture(scope="module")
+def echo_url():
+    """A keep-alive worker whose app echoes how much body it received."""
+    worker, url = serve_worker_in_thread(_echo_app)
+    yield url
+    worker.close()
+
+
 class TestStrictFraming:
     """Ambiguous body framing answers 400 and closes, so nothing is smuggled."""
 
     SMUGGLED = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    def _assert_refused(self, url: str, request: str) -> None:
+        sock = _connect(url)
+        handle = sock.makefile("rb")
+        _send(sock, request + self.SMUGGLED)
+        status, headers, body = _read_response(handle)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "error" in json.loads(body)
+        assert handle.read() == b""  # closed: the smuggled request got no answer
+        handle.close()
+        sock.close()
+
+    @pytest.mark.parametrize(
+        "size",
+        ["-1", "0x3", "+3", "f" * 40, " 3", "3 ", "", "3_", "1" * 17],
+        ids=["negative", "0x-prefix", "plus-sign", "forty-digits", "leading-space",
+             "trailing-space", "empty", "underscore", "seventeen-digits"],
+    )
+    def test_bad_chunk_size_answers_400_and_closes(self, echo_url, size):
+        self._assert_refused(
+            echo_url,
+            "POST /echo HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            f"{size}\r\nabc\r\n0\r\n\r\n",
+        )
+
+    @pytest.mark.parametrize("size", ["3", "03", "3;name=value", "0" * 15 + "3"])
+    def test_valid_chunk_sizes_reach_the_app(self, echo_url, size):
+        sock = _connect(echo_url)
+        handle = sock.makefile("rb")
+        _send(
+            sock,
+            "POST /echo HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            f"{size}\r\nabc\r\nA\r\n0123456789\r\n0\r\n\r\n",
+        )
+        status, headers, body = _read_response(handle)
+        assert status == 200 and json.loads(body) == {"read": 13}
+        assert headers["connection"] == "keep-alive"
+        handle.close()
+        sock.close()
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "Content-Length : 3",
+            "Content-Length\t: 3",
+            "X-Note: a\r\n Content-Length: 3",
+            "X-Note: a\r\n\tContent-Length: 3",
+        ],
+        ids=["space-before-colon", "tab-before-colon", "obs-fold-space", "obs-fold-tab"],
+    )
+    def test_malformed_header_lines_answer_400_and_close(self, echo_url, head):
+        self._assert_refused(echo_url, f"POST /echo HTTP/1.1\r\nHost: x\r\n{head}\r\n\r\nabc")
 
     @pytest.mark.parametrize(
         "framing",

@@ -69,18 +69,14 @@ class TestEmit:
 
 class TestRawChunks:
     def test_raw_chunks_reparse_identically(self, raw_csv, small_table):
-        import csv
-        import itertools
-
-        from repro.relational.io import parse_row
+        from oracles.row_store import read_csv_chunk
         from repro.service.streaming import iter_raw_chunks
 
         schema = medical_schema()
         parsed = []
         for header, lines in iter_raw_chunks(raw_csv, chunk_size=77):
             assert len(lines) <= 77
-            for raw in csv.DictReader(itertools.chain([header], lines)):
-                parsed.append(parse_row(raw, schema))
+            parsed.extend(read_csv_chunk(schema, header, lines).rows)
         assert parsed == list(small_table.rows)
 
     def test_empty_file_yields_nothing(self, tmp_path):

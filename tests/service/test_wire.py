@@ -131,20 +131,14 @@ class TestMetadataRoundTrip:
 
 class TestTableToCsvLines:
     def test_round_trips_through_the_shared_parser(self, protected_small):
-        """Rendered lines parse back cell for cell via the io machinery."""
-        import csv
-        import itertools
-
-        from repro.relational.io import parse_row
-        from repro.relational.table import Table
+        """Rendered lines parse back cell for cell through the reference reader."""
+        from oracles.row_store import read_csv_chunk
 
         table = protected_small.watermarked.table
         header, lines = table_to_csv_lines(table)
         assert len(lines) == len(table)
         schema = table.schema
-        rebuilt = Table(schema)
-        for raw in csv.DictReader(itertools.chain([header], lines)):
-            rebuilt.insert(parse_row(raw, schema))
+        rebuilt = read_csv_chunk(schema, header, lines)
         assert list(rebuilt.rows) == [
             {name: row[name] for name in schema.column_names} for row in table
         ]

@@ -17,12 +17,9 @@ from repro.attacks.alteration import SubsetAlterationAttack
 from repro.attacks.deletion import SubsetDeletionAttack
 from repro.attacks.ownership_attacks import AdditiveMarkAttack
 from repro.crypto.cipher import FieldEncryptor
-from repro.relational.columnar import ColumnarTable
 from repro.relational.schema import Column, ColumnKind, ColumnType
 from repro.relational.table import Table
 from repro.watermarking.ownership import identifier_statistic
-
-TABLE_TYPES = [pytest.param(Table, id="row-store"), pytest.param(ColumnarTable, id="columnar")]
 
 
 def assert_same_verdict(actual, expected):
@@ -31,12 +28,12 @@ def assert_same_verdict(actual, expected):
     assert repr(actual) == repr(expected)
 
 
-def rebuilt(binned, table_cls, schema=None, edit=None):
-    """*binned* over a fresh *table_cls* copy of its rows, optionally edited."""
+def rebuilt(binned, schema=None, edit=None):
+    """*binned* over a fresh copy of its rows, optionally edited."""
     rows = [dict(row) for row in binned.table]
     if edit is not None:
         edit(rows)
-    return replace(binned, table=table_cls(schema or binned.table.schema, rows))
+    return replace(binned, table=Table(schema or binned.table.schema, rows))
 
 
 @pytest.fixture(scope="module")
@@ -55,22 +52,21 @@ def assert_matches_oracle(registry, disputed, claims):
     return verdict
 
 
-@pytest.mark.parametrize("table_cls", TABLE_TYPES)
 class TestAssessClaimMatchesOracle:
-    def test_owner_claim(self, table_cls, registry, owner_claim, protected_small):
-        disputed = rebuilt(protected_small.watermarked, table_cls)
+    def test_owner_claim(self, registry, owner_claim, protected_small):
+        disputed = rebuilt(protected_small.watermarked)
         verdict = assert_matches_oracle(registry, disputed, [owner_claim])
         assert verdict.winner == "hospital"
 
-    def test_wrong_encryption_key(self, table_cls, registry, owner_claim, protected_small):
-        disputed = rebuilt(protected_small.watermarked, table_cls)
+    def test_wrong_encryption_key(self, registry, owner_claim, protected_small):
+        disputed = rebuilt(protected_small.watermarked)
         mallory = replace(owner_claim, claimant="mallory", encryption_key="not-the-key")
         verdict = assert_matches_oracle(registry, disputed, [owner_claim, mallory])
         assert verdict.assessments[1].decryption_ok is False
         assert verdict.assessments[1].recomputed_statistic is None
 
-    def test_fabricated_statistic(self, table_cls, registry, owner_claim, protected_small):
-        disputed = rebuilt(protected_small.watermarked, table_cls)
+    def test_fabricated_statistic(self, registry, owner_claim, protected_small):
+        disputed = rebuilt(protected_small.watermarked)
         fabricated = replace(
             owner_claim,
             claimant="forger",
@@ -87,16 +83,16 @@ class TestAssessClaimMatchesOracle:
             pytest.param(str.upper, id="uppercase-respelling"),
         ],
     )
-    def test_one_undecryptable_token(self, table_cls, spoil, registry, owner_claim, protected_small):
+    def test_one_undecryptable_token(self, spoil, registry, owner_claim, protected_small):
         def edit(rows):
             middle = rows[len(rows) // 2]
             middle["ssn"] = spoil(middle["ssn"])
 
-        disputed = rebuilt(protected_small.watermarked, table_cls, edit=edit)
+        disputed = rebuilt(protected_small.watermarked, edit=edit)
         verdict = assert_matches_oracle(registry, disputed, [owner_claim])
         assert verdict.assessments[0].decryption_ok is False
 
-    def test_two_identifying_columns(self, table_cls, registry, owner_claim, protected_small):
+    def test_two_identifying_columns(self, registry, owner_claim, protected_small):
         # A second identifying column of 18-digit numbers: their float sum
         # rounds differently in column-major order, so only the row-major
         # sweep reproduces the oracle's statistic bit for bit.
@@ -113,7 +109,7 @@ class TestAssessClaimMatchesOracle:
                 row["mrn"] = token
 
         disputed = replace(
-            rebuilt(binned, table_cls, schema=schema, edit=edit), identifying_columns=("ssn", "mrn")
+            rebuilt(binned, schema=schema, edit=edit), identifying_columns=("ssn", "mrn")
         )
         ssns = [encryptor.decrypt(token) for token in disputed.table.column_values("ssn")]
         row_major = [value for pair in zip(ssns, numbers) for value in pair]
@@ -148,7 +144,7 @@ class TestServiceDisputeMatchesOracle:
             service.protect(tenant, raw, outputs[tenant], dataset_id=f"claims-{tenant}")
         record = service.vault.tenant("alice")
         protected = suspect_view(
-            ColumnarTable.from_csv(outputs["alice"], service.schema),
+            Table.from_csv(outputs["alice"], service.schema),
             service.trees,
             service.schema,
             k=record.k,
